@@ -22,9 +22,10 @@ lint-fix-hints:
 
 # leakcheck pins the event-driven transport's goroutine footprint: 1024
 # idle connections must cost O(worker-pool) goroutines, and a thousand
-# dial/call/close cycles must return the process to its baseline count.
+# dial/call/close cycles, over loopback and over TCP, must return the
+# process to its baseline count.
 leakcheck:
-	$(GO) test -race -run 'TestTransportGoroutineFootprint|TestLoopbackTransportStress' ./internal/kernel
+	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'TestTransportGoroutineFootprint|TestLoopbackTransportStress|TestTCPTransportStress' ./internal/kernel
 
 # api-check regenerates the public-ABI listing (root package +
 # internal/kernel) and fails when it drifts from the committed api.txt —
@@ -47,11 +48,15 @@ vet:
 build:
 	$(GO) build ./...
 
+# TEST_TIMEOUT sits well below go test's 10-minute default, so a hang
+# fails within minutes and prints every goroutine's stack.
+TEST_TIMEOUT ?= 5m
+
 test:
-	$(GO) test ./...
+	$(GO) test -timeout $(TEST_TIMEOUT) ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout $(TEST_TIMEOUT) ./...
 
 # bench-smoke runs every benchmark in the root package and the ledger once
 # (-benchtime=1x) so bench code cannot rot; use bench-parallel (or go test
@@ -77,3 +82,5 @@ fuzz-smoke:
 	$(GO) test -run=XXX -fuzz=FuzzWireFormula -fuzztime=$(FUZZTIME) ./internal/nal
 	$(GO) test -run=XXX -fuzz=FuzzWireCredential -fuzztime=$(FUZZTIME) ./internal/cert
 	$(GO) test -run=XXX -fuzz=FuzzWALRecovery -fuzztime=$(FUZZTIME) ./internal/ledger
+	$(GO) test -run=XXX -fuzz=FuzzWallBlob -fuzztime=$(FUZZTIME) ./internal/fauxbook
+	$(GO) test -run=XXX -fuzz=FuzzFrameSplit -fuzztime=$(FUZZTIME) ./internal/kernel

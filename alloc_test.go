@@ -209,6 +209,12 @@ func TestAllocBatchedSubmitWarm(t *testing.T) {
 // other, connection warm (handshake done, channel freelist and frame pool
 // primed by a burst of calls).
 func remoteAllocWorld(t testing.TB) (*kernel.Session, kernel.Cap) {
+	return remoteAllocWorldOver(t, kernel.NewLoopbackTransport(), "alloc")
+}
+
+// remoteAllocWorldOver is remoteAllocWorld over any transport; addr is the
+// listen address (the dial goes to the address the listener reports).
+func remoteAllocWorldOver(t testing.TB, tr kernel.Transport, addr string) (*kernel.Session, kernel.Cap) {
 	t.Helper()
 	kSrv := allocKernelTB(t, kernel.Options{})
 	kSrv.SetGuard(guardAllowAll{})
@@ -222,9 +228,8 @@ func remoteAllocWorld(t testing.TB) (*kernel.Session, kernel.Cap) {
 		t.Fatal(err)
 	}
 	port, _ := srv.PortOf(pc)
-	lt := kernel.NewLoopbackTransport()
 	nSrv := kernel.NewNode(kSrv)
-	l, err := lt.Listen("alloc")
+	l, err := tr.Listen(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +240,7 @@ func remoteAllocWorld(t testing.TB) (*kernel.Session, kernel.Cap) {
 	}
 	nCli := kernel.NewNode(kCli)
 	t.Cleanup(nCli.Close)
-	peer, err := nCli.Dial(lt, "alloc")
+	peer, err := nCli.Dial(tr, l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,6 +281,28 @@ func TestAllocRemoteCallWarm(t *testing.T) {
 		}
 	}); allocs > 2 {
 		t.Errorf("warm remote call allocates %.1f objects/op, want ≤ 2", allocs)
+	}
+}
+
+// TestAllocRemoteCallWarmTCP is TestAllocRemoteCallWarm over TCP on
+// 127.0.0.1, both endpoints included, at the same ≤2 ceiling: ingress is
+// one read into the worker's receive buffer, split into pooled arena
+// buffers, and the socket read, every epoll_ctl and the shard's epoll park
+// pass callbacks bound once, so the response frame is again the only
+// inherent allocation. The regression pin for the BENCH_net
+// call/remote-tcp row.
+func TestAllocRemoteCallWarmTCP(t *testing.T) {
+	if raceEnabled {
+		t.Skip("cross-goroutine pool reuse is perturbed under the race detector")
+	}
+	cli, rc := remoteAllocWorldOver(t, kernel.TCPTransport{}, "127.0.0.1:0")
+	m := &kernel.Msg{Op: "read", Obj: "obj"}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := cli.CallRemote(rc, m); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Errorf("warm TCP remote call allocates %.1f objects/op, want ≤ 2", allocs)
 	}
 }
 

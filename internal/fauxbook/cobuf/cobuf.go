@@ -13,6 +13,7 @@
 package cobuf
 
 import (
+	"bytes"
 	"errors"
 
 	"repro/internal/nal"
@@ -37,13 +38,14 @@ type FlowJudge interface {
 // this package (tenant code) cannot reach the bytes.
 type Buf struct {
 	owner nal.Principal
+	tag   string // owner's canonical form (nal.KeyOfPrin), as AppendMarshal stores it
 	data  []byte
 }
 
 // New creates a buffer owned by owner. Only trusted layers (the web server
 // after authentication) call New with user data.
 func New(owner nal.Principal, data []byte) *Buf {
-	return &Buf{owner: owner, data: append([]byte(nil), data...)}
+	return &Buf{owner: owner, tag: nal.KeyOfPrin(owner), data: append([]byte(nil), data...)}
 }
 
 // Owner returns the buffer's owning principal. The owner tag is public;
@@ -59,7 +61,7 @@ func (b *Buf) Slice(from, to int) (*Buf, error) {
 	if from < 0 || to < from || to > len(b.data) {
 		return nil, ErrBounds
 	}
-	return &Buf{owner: b.owner, data: append([]byte(nil), b.data[from:to]...)}, nil
+	return &Buf{owner: b.owner, tag: b.tag, data: append([]byte(nil), b.data[from:to]...)}, nil
 }
 
 // Concat appends src's contents to dst, checking the flow policy: the
@@ -69,7 +71,7 @@ func Concat(judge FlowJudge, dst, src *Buf) (*Buf, error) {
 	if !dst.owner.EqualPrin(src.owner) && (judge == nil || !judge.MayFlow(src.owner, dst.owner)) {
 		return nil, ErrFlow
 	}
-	out := &Buf{owner: dst.owner, data: make([]byte, 0, len(dst.data)+len(src.data))}
+	out := &Buf{owner: dst.owner, tag: dst.tag, data: make([]byte, 0, len(dst.data)+len(src.data))}
 	out.data = append(out.data, dst.data...)
 	out.data = append(out.data, src.data...)
 	return out, nil
@@ -92,22 +94,34 @@ func Retag(judge FlowJudge, b *Buf, to nal.Principal) (*Buf, error) {
 	if !b.owner.EqualPrin(to) && (judge == nil || !judge.MayFlow(b.owner, to)) {
 		return nil, ErrFlow
 	}
-	return &Buf{owner: to, data: append([]byte(nil), b.data...)}, nil
+	return &Buf{owner: to, tag: nal.KeyOfPrin(to), data: append([]byte(nil), b.data...)}, nil
 }
 
-// Marshal serializes owner tag and data for storage in the filesystem. The
+// AppendMarshal appends the stored form of b — a 2-byte length, the
+// owner tag, then the data — to dst, for storage in the filesystem. The
 // stored form is opaque to tenant code, which only handles handles.
-func Marshal(b *Buf) []byte {
-	o := []byte(b.owner.String())
-	out := make([]byte, 0, 2+len(o)+len(b.data))
-	out = append(out, byte(len(o)>>8), byte(len(o)))
-	out = append(out, o...)
-	out = append(out, b.data...)
-	return out
+func AppendMarshal(dst []byte, b *Buf) []byte {
+	dst = append(dst, byte(len(b.tag)>>8), byte(len(b.tag)))
+	dst = append(dst, b.tag...)
+	return append(dst, b.data...)
 }
 
-// Unmarshal reverses Marshal.
-func Unmarshal(raw []byte) (*Buf, error) {
+// MarshalSize reports the length of b's stored form.
+func MarshalSize(b *Buf) int { return 2 + len(b.tag) + len(b.data) }
+
+// A Decoder unmarshals a run of stored buffers, parsing an owner tag only
+// when its bytes differ from the previous buffer's: a run written by one
+// owner parses its tag once, and every distinct tag is still validated.
+// The zero value is ready to use. A Decoder keeps a reference to the last
+// tag it parsed, so it is meant to live only as long as one decoding pass.
+type Decoder struct {
+	raw   []byte // the last parsed tag's bytes, aliasing the caller's input
+	owner nal.Principal
+	tag   string
+}
+
+// Unmarshal reverses AppendMarshal.
+func (d *Decoder) Unmarshal(raw []byte) (*Buf, error) {
 	if len(raw) < 2 {
 		return nil, ErrBounds
 	}
@@ -115,9 +129,12 @@ func Unmarshal(raw []byte) (*Buf, error) {
 	if len(raw) < 2+n {
 		return nil, ErrBounds
 	}
-	owner, err := nal.ParsePrincipal(string(raw[2 : 2+n]))
-	if err != nil {
-		return nil, err
+	if tag := raw[2 : 2+n]; d.owner == nil || !bytes.Equal(tag, d.raw) {
+		owner, err := nal.ParsePrincipal(string(tag))
+		if err != nil {
+			return nil, err
+		}
+		d.raw, d.owner, d.tag = tag, owner, nal.KeyOfPrin(owner)
 	}
-	return &Buf{owner: owner, data: append([]byte(nil), raw[2+n:]...)}, nil
+	return &Buf{owner: d.owner, tag: d.tag, data: append([]byte(nil), raw[2+n:]...)}, nil
 }

@@ -103,14 +103,15 @@ func TestRetag(t *testing.T) {
 
 func TestMarshalRoundTrip(t *testing.T) {
 	b := New(nal.MustPrincipal("web.user.alice"), []byte{0, 1, 2, 255})
-	back, err := Unmarshal(Marshal(b))
+	var d Decoder
+	back, err := d.Unmarshal(AppendMarshal(nil, b))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !back.Owner().EqualPrin(b.Owner()) || back.Len() != b.Len() {
 		t.Errorf("round trip changed buffer: %v %d", back.Owner(), back.Len())
 	}
-	if _, err := Unmarshal([]byte{0}); !errors.Is(err, ErrBounds) {
+	if _, err := d.Unmarshal([]byte{0}); !errors.Is(err, ErrBounds) {
 		t.Errorf("short unmarshal: want ErrBounds, got %v", err)
 	}
 }
@@ -118,7 +119,8 @@ func TestMarshalRoundTrip(t *testing.T) {
 func TestQuickMarshal(t *testing.T) {
 	prop := func(data []byte) bool {
 		b := New(alice, data)
-		back, err := Unmarshal(Marshal(b))
+		var d Decoder
+		back, err := d.Unmarshal(AppendMarshal(nil, b))
 		if err != nil {
 			return false
 		}
@@ -137,8 +139,8 @@ func TestQuickMarshal(t *testing.T) {
 func TestNoContentAccess(t *testing.T) {
 	b := New(alice, []byte("secret"))
 	// The only accessors are Owner, Len, Slice, Concat, Retag, Reveal,
-	// Marshal. Marshal exposes bytes — but only trusted storage layers see
-	// marshaled form; tenant code receives *Buf handles.
+	// AppendMarshal. AppendMarshal exposes bytes — but only trusted storage
+	// layers see marshaled form; tenant code receives *Buf handles.
 	if b.Len() != 6 {
 		t.Fatal("len")
 	}

@@ -220,24 +220,32 @@ func (s *Service) AttachArchive(peer *kernel.Peer, service string) error {
 // marshalWall flattens wall entries into the length-prefixed blob format
 // shared by filesystem persistence and the remote archive.
 func marshalWall(wall []*cobuf.Buf) []byte {
-	var blob []byte
+	size := 0
 	for _, b := range wall {
-		m := cobuf.Marshal(b)
-		blob = append(blob, byte(len(m)>>8), byte(len(m)))
-		blob = append(blob, m...)
+		size += 2 + cobuf.MarshalSize(b)
+	}
+	blob := make([]byte, 0, size)
+	for _, b := range wall {
+		m := cobuf.MarshalSize(b)
+		blob = append(blob, byte(m>>8), byte(m))
+		blob = cobuf.AppendMarshal(blob, b)
 	}
 	return blob
 }
 
-// unmarshalWall parses the blob format back into wall entries.
+// unmarshalWall parses the blob format back into wall entries. The blob
+// may come from a storage node the front kernel does not trust: malformed
+// bytes are an error, never a panic. Consecutive entries with the same
+// owner tag share one parse.
 func unmarshalWall(blob []byte) ([]*cobuf.Buf, error) {
 	var wall []*cobuf.Buf
+	var dec cobuf.Decoder
 	for len(blob) >= 2 {
 		n := int(blob[0])<<8 | int(blob[1])
 		if len(blob) < 2+n {
 			return nil, fmt.Errorf("fauxbook: corrupt wall blob")
 		}
-		b, err := cobuf.Unmarshal(blob[2 : 2+n])
+		b, err := dec.Unmarshal(blob[2 : 2+n])
 		if err != nil {
 			return nil, err
 		}

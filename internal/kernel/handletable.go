@@ -63,6 +63,12 @@ type handleTable struct {
 	next   atomic.Uint32
 	gen    atomic.Uint32
 	shards [htShards]htShard
+
+	// chanMu orders the pid-level channel grant Session.Open and Dup make
+	// for a new slot against Session.Close's last-handle check and revoke:
+	// a grant landing between that check and its revoke would leave a
+	// live handle with no grant behind it.
+	chanMu sync.Mutex
 }
 
 const htShards = 8

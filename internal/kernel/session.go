@@ -126,7 +126,10 @@ func (s *Session) Open(portID int) (Cap, error) {
 	if !ok {
 		return 0, abiErr(ESRCH, "open", "session exited")
 	}
-	if err := s.k.GrantChannel(s.p, portID); err != nil {
+	s.ht.chanMu.Lock()
+	err := s.k.GrantChannel(s.p, portID)
+	s.ht.chanMu.Unlock()
+	if err != nil {
 		// GrantChannel's own unwind handled the exited/dead-port cleanup;
 		// drop the slot it was meant to back (idempotent after a drain).
 		s.ht.close(c)
@@ -178,7 +181,10 @@ func (s *Session) Dup(c Cap) (Cap, error) {
 		// Re-assert the pid-level grant: a concurrent Close of the source
 		// handle between lookup and alloc may have revoked it, and the dup
 		// must be a usable right on return.
-		if err := s.k.GrantChannel(s.p, sl.port.ID); err != nil {
+		s.ht.chanMu.Lock()
+		err := s.k.GrantChannel(s.p, sl.port.ID)
+		s.ht.chanMu.Unlock()
+		if err != nil {
 			s.ht.close(nc)
 			return 0, err
 		}
@@ -201,9 +207,11 @@ func (s *Session) Close(c Cap) error {
 			s.k.dropAuthorities([]int{sl.port.ID})
 		}
 	case capChan:
+		s.ht.chanMu.Lock()
 		if !s.ht.refsPort(sl.port) {
 			s.k.chans.revoke(s.p.PID, sl.port.ID)
 		}
+		s.ht.chanMu.Unlock()
 	}
 	return nil
 }

@@ -83,6 +83,9 @@ func (t TCPTransport) Dial(addr string) (Conn, error) {
 	return &tcpConn{c: c, cfg: t}, nil
 }
 
+// errFrameTooLarge reports an inbound length prefix above maxNetFrame.
+var errFrameTooLarge = errors.New("kernel: inbound frame exceeds maximum size")
+
 type tcpListener struct {
 	l   net.Listener
 	cfg TCPTransport
@@ -189,7 +192,7 @@ func (t *tcpConn) Recv() ([]byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(t.rlenBuf[:])
 	if n > maxNetFrame {
-		return nil, errors.New("kernel: inbound frame exceeds maximum size")
+		return nil, errFrameTooLarge
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(t.c, buf); err != nil {

@@ -688,6 +688,11 @@ func (n *Node) handshakeClient(c Conn) (*Peer, error) {
 	frame = appendNetBytes(frame, nonce)
 	frame = appendNetBytes(frame, ephPub)
 	if err := c.Send(frame); err != nil {
+		// A shedding node queues its rejection and closes, which can beat
+		// our hello: report the rejection it left behind, if there is one.
+		if resp, rerr := c.Recv(); rerr == nil && len(resp) > 0 && resp[0] == fErr {
+			return nil, rejectErr(resp)
+		}
 		return nil, err
 	}
 	resp, err := c.Recv()
@@ -695,18 +700,7 @@ func (n *Node) handshakeClient(c Conn) (*Peer, error) {
 		return nil, err
 	}
 	if len(resp) > 0 && resp[0] == fErr {
-		// Pre-handshake rejection: the node shed our connection. Surface
-		// the typed errno (EAGAIN: retry later or elsewhere).
-		r := &netCursor{buf: resp[1:]}
-		if _, ok := r.uvarint(); ok {
-			en, ok1 := r.uvarint()
-			op, ok2 := r.str()
-			detail, ok3 := r.str()
-			if ok1 && ok2 && ok3 && Errno(en) != EOK {
-				return nil, abiErr(Errno(en), op, detail)
-			}
-		}
-		return nil, ErrBadPeer
+		return nil, rejectErr(resp)
 	}
 	if len(resp) == 0 || resp[0] != fHelloOK {
 		return nil, ErrBadPeer
@@ -770,6 +764,22 @@ func (n *Node) handshakeClient(c Conn) (*Peer, error) {
 		bootID:      peer.bootID,
 		mkey:        mkey,
 	}, nil
+}
+
+// rejectErr decodes a pre-handshake fErr frame: the node shed our
+// connection, and the typed errno (EAGAIN: retry later or elsewhere)
+// surfaces to the dialer.
+func rejectErr(resp []byte) error {
+	r := &netCursor{buf: resp[1:]}
+	if _, ok := r.uvarint(); ok {
+		en, ok1 := r.uvarint()
+		op, ok2 := r.str()
+		detail, ok3 := r.str()
+		if ok1 && ok2 && ok3 && Errno(en) != EOK {
+			return abiErr(Errno(en), op, detail)
+		}
+	}
+	return ErrBadPeer
 }
 
 // KernelPrin returns the remote kernel's principal, key:<NK-fp>.<boot-id>.

@@ -396,6 +396,24 @@ func TestShedLoad(t *testing.T) {
 	}
 }
 
+// TestShedRejectionBeforeHello pins the shed race TestShedLoad hits only
+// rarely: the shedding node has queued its EAGAIN frame and closed before
+// the dialer's hello goes out, so the hello's Send fails — and the dialer
+// must still report the typed rejection, not the closed pipe.
+func TestShedRejectionBeforeHello(t *testing.T) {
+	n := NewNode(bootK(t))
+	defer n.Close()
+	cli, srv := newLoopPipe()
+	if err := srv.Send(appendErrFrame(nil, 0, "accept",
+		abiErr(EAGAIN, "accept", "node connection limit reached"))); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	if _, err := n.handshakeClient(cli); !errors.Is(err, ErrAgain) {
+		t.Fatalf("handshake against a shed connection: got %v, want EAGAIN", err)
+	}
+}
+
 // TestTransportGoroutineFootprint is the tentpole's scaling gate: 1024
 // established idle connections must cost O(worker-pool) goroutines, not
 // O(connections) — connections are scheduler state, not stacks.
@@ -470,4 +488,25 @@ func settledGoroutines(target int) int {
 		last = n
 	}
 	return last
+}
+
+// TestNodeConstructionNeverBlocks builds and closes 200 Nodes, each with
+// its own per-shard pollers, under a hard bound: constructing a Node must
+// not wait on any wakeup, so a blocking start-up path fails here in
+// seconds with every stack printed.
+func TestNodeConstructionNeverBlocks(t *testing.T) {
+	k := bootK(t)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			NewNode(k).Close()
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("200 NewNode/Close cycles did not finish in 30s:\n%s", buf[:runtime.Stack(buf, true)])
+	}
 }

@@ -189,3 +189,96 @@ func TestLoopbackTransportStress(t *testing.T) {
 		t.Fatalf("%d goroutines after close, baseline %d: transport leaks goroutines", n, baseline)
 	}
 }
+
+// TestTCPTransportStress is TestLoopbackTransportStress's TCP sibling: two
+// goroutines each run bounded cycles of Dial, Connect, CallRemote and
+// Close against one serving node. Every cycle frees descriptor numbers the
+// other goroutine's next dial reuses, so a teardown that touches epoll by
+// a number it no longer holds breaks a live connection here. No call may
+// fail, and the live-connection gauges and goroutine count must return to
+// their baselines.
+func TestTCPTransportStress(t *testing.T) {
+	front, store := bootNode(t), bootNode(t)
+	baseline := runtime.NumGoroutine()
+	nStore := kernel.NewNode(store)
+	var tr kernel.TCPTransport
+	l, err := tr.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nStore.Serve(l)
+	nFront := kernel.NewNode(front)
+	srv, err := store.NewSession([]byte("tcp-stress-srv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := srv.Listen(func(kernel.Caller, *kernel.Msg) ([]byte, error) { return []byte("ok"), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	port, _ := srv.PortOf(pc)
+	if err := nStore.Export("echo", port); err != nil {
+		t.Fatal(err)
+	}
+
+	const churners = 2
+	const cycles = 500 // per churner
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < churners; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			s, err := front.NewSession([]byte(fmt.Sprintf("tcp-churn-%d", g)))
+			if err != nil {
+				t.Errorf("churn session: %v", err)
+				return
+			}
+			defer s.Exit()
+			for i := 0; i < cycles; i++ {
+				p, err := nFront.Dial(tr, l.Addr())
+				if err != nil {
+					t.Errorf("cycle %d: dial: %v", i, err)
+					return
+				}
+				c, err := s.Connect(p, "echo")
+				if err == nil {
+					_, err = s.CallRemote(c, &kernel.Msg{Op: "read", Obj: "o"})
+				}
+				p.Close()
+				if err != nil {
+					t.Errorf("cycle %d: %v", i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("churn did not finish in 60s:\n%s", buf[:runtime.Stack(buf, true)])
+	}
+
+	// Peer teardown is asynchronous on both ends: poll the gauges.
+	deadline := time.Now().Add(5 * time.Second)
+	for (front.Metrics().NetLiveConns != 0 || store.Metrics().NetLiveConns != 0) && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if f, s := front.Metrics().NetLiveConns, store.Metrics().NetLiveConns; f != 0 || s != 0 {
+		t.Errorf("live connections after churn: front %d, store %d, want 0", f, s)
+	}
+	nFront.Close()
+	nStore.Close()
+	deadline = time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline+4 && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline+4 {
+		t.Fatalf("%d goroutines after close, baseline %d: transport leaks goroutines", n, baseline)
+	}
+}
