@@ -74,6 +74,7 @@ FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run=XXX -fuzz=FuzzParseFormula -fuzztime=$(FUZZTIME) ./internal/nal
 	$(GO) test -run=XXX -fuzz=FuzzParsePrincipal -fuzztime=$(FUZZTIME) ./internal/nal
+	$(GO) test -run=XXX -fuzz=FuzzGoalKey -fuzztime=$(FUZZTIME) ./internal/nal
 	$(GO) test -run=XXX -fuzz=FuzzMsgWire -fuzztime=$(FUZZTIME) ./internal/kernel
 	$(GO) test -run=XXX -fuzz=FuzzBatchWire -fuzztime=$(FUZZTIME) ./internal/kernel
 	$(GO) test -run=XXX -fuzz=FuzzRemoteSubmitFrame -fuzztime=$(FUZZTIME) ./internal/kernel

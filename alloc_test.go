@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/guard"
 	"repro/internal/kernel"
 	"repro/internal/ledger"
+	"repro/internal/nal"
 	"repro/internal/nal/proof"
 	"repro/internal/tpm"
 )
@@ -215,9 +217,26 @@ func remoteAllocWorld(t testing.TB) (*kernel.Session, kernel.Cap) {
 // remoteAllocWorldOver is remoteAllocWorld over any transport; addr is the
 // listen address (the dial goes to the address the listener reports).
 func remoteAllocWorldOver(t testing.TB, tr kernel.Transport, addr string) (*kernel.Session, kernel.Cap) {
+	w := dialAllocWorld(t, tr, addr, func(*kernel.Kernel) kernel.Guard { return guardAllowAll{} })
+	w.warm(t, &kernel.Msg{Op: "read", Obj: "obj"})
+	return w.cli, w.rc
+}
+
+// allocWorld is a two-kernel world: srv serves the echo port on the
+// serving kernel, cli is connected to it through peer as rc.
+type allocWorld struct {
+	srv, cli *kernel.Session
+	kCli     *kernel.Kernel
+	peer     *kernel.Peer
+	rc       kernel.Cap
+}
+
+// dialAllocWorld builds an allocWorld over tr whose serving kernel decides
+// with the guard newGuard returns.
+func dialAllocWorld(t testing.TB, tr kernel.Transport, addr string, newGuard func(*kernel.Kernel) kernel.Guard) *allocWorld {
 	t.Helper()
 	kSrv := allocKernelTB(t, kernel.Options{})
-	kSrv.SetGuard(guardAllowAll{})
+	kSrv.SetGuard(newGuard(kSrv))
 	kCli := allocKernelTB(t, kernel.Options{})
 	srv, err := kSrv.NewSession([]byte("srv"))
 	if err != nil {
@@ -252,13 +271,17 @@ func remoteAllocWorldOver(t testing.TB, tr kernel.Transport, addr string) (*kern
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &kernel.Msg{Op: "read", Obj: "obj"}
+	return &allocWorld{srv: srv, cli: cli, kCli: kCli, peer: peer, rc: rc}
+}
+
+// warm primes the connection with a burst of m.
+func (w *allocWorld) warm(t testing.TB, m *kernel.Msg) {
+	t.Helper()
 	for i := 0; i < 64; i++ {
-		if _, err := cli.CallRemote(rc, m); err != nil {
+		if _, err := w.cli.CallRemote(w.rc, m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return cli, rc
 }
 
 // TestAllocRemoteCallWarm pins the warm cross-node call over the loopback
@@ -303,6 +326,54 @@ func TestAllocRemoteCallWarmTCP(t *testing.T) {
 		}
 	}); allocs > 2 {
 		t.Errorf("warm TCP remote call allocates %.1f objects/op, want ≤ 2", allocs)
+	}
+}
+
+// TestAllocRemoteCallAuthzWarm pins the warm cross-node call whose
+// serving kernel authorizes every request through the generic guard — the
+// BENCH_net call/remote-authz path. The client's statement crosses to the
+// serving kernel as a label and the proof cites it by reference, so the
+// serving kernel may not cache the decision and each call pays a guard
+// upcall, a proof-cache hit, and an audit record; both endpoints are
+// included. The guard's hit (TestAllocGuardProofCacheHit) and the audit
+// and ledger hashing allocate nothing; what remains is the kernel's
+// upcall request, which escapes through the Guard interface, and the
+// response frame.
+func TestAllocRemoteCallAuthzWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("cross-goroutine pool reuse is perturbed under the race detector")
+	}
+	w := dialAllocWorld(t, kernel.NewLoopbackTransport(), "alloc-authz",
+		func(k *kernel.Kernel) kernel.Guard { return guard.New(k) })
+	goal := nal.Says{P: nal.Key(w.kCli.NKFingerprint()), F: nal.Says{P: w.cli.Prin(), F: nal.Pred{Name: "mayBench"}}}
+	if err := w.srv.SetGoal("bench", "guarded", goal, nil); err != nil {
+		t.Fatal(err)
+	}
+	lbl, err := w.cli.Say("mayBench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl, err := w.cli.TransferLabelRemote(w.peer, lbl.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.cli.SetProofRemote(w.peer, "bench", "guarded", proof.Assume(0, goal),
+		[]kernel.RemoteCred{{Ref: rl.Handle}}); err != nil {
+		t.Fatal(err)
+	}
+	m := &kernel.Msg{Op: "bench", Obj: "guarded"}
+	w.warm(t, m)
+	upcalls := w.srv.Kernel().GuardUpcalls()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := w.cli.CallRemote(w.rc, m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := w.srv.Kernel().GuardUpcalls() - upcalls; got < 200 {
+		t.Fatalf("%d guard upcalls over the pinned run, want one per call", got)
+	}
+	if allocs > 2 {
+		t.Errorf("warm authorized remote call allocates %.1f objects/op, want ≤ 2", allocs)
 	}
 }
 

@@ -17,7 +17,9 @@ import (
 //   - make / new, map and slice composite literals, &T{...}
 //   - append that does not feed back into its own first argument
 //   - fmt.* and errors.* calls, non-constant string concatenation,
-//     string↔[]byte conversions
+//     string↔[]byte conversions (except a []byte→string conversion written
+//     directly as the key of a map lookup, `m[string(b)]`, which the
+//     compiler performs without allocating)
 //   - closures that capture variables, method values, `go` statements
 //   - explicit conversions that box a non-pointer value into an interface
 //
@@ -90,6 +92,7 @@ func (c *noallocChecker) scan(fi *FuncInfo, chain []string) {
 	fset := c.prog.Fset
 
 	selfAppend := allowedAppends(pk, fi.Decl.Body)
+	lookupKeys := mapLookupKeys(pk, fi.Decl.Body)
 	localClosure := localCalledClosures(pk, fi.Decl.Body)
 	inCallPos := map[ast.Node]bool{}
 	var callees []*FuncInfo
@@ -117,7 +120,7 @@ func (c *noallocChecker) scan(fi *FuncInfo, chain []string) {
 				// descend.
 				return true
 			}
-			c.checkCall(pk, n, chain, selfAppend, &callees)
+			c.checkCall(pk, n, chain, selfAppend, lookupKeys, &callees)
 			return true
 		case *ast.FuncLit:
 			if !inCallPos[n] {
@@ -175,7 +178,7 @@ func (c *noallocChecker) scan(fi *FuncInfo, chain []string) {
 // checkCall classifies one call in the warm region: allocating builtin,
 // allocating conversion, forbidden package, or a module-local callee to
 // descend into.
-func (c *noallocChecker) checkCall(pk *Package, call *ast.CallExpr, chain []string, selfAppend map[*ast.CallExpr]bool, callees *[]*FuncInfo) {
+func (c *noallocChecker) checkCall(pk *Package, call *ast.CallExpr, chain []string, selfAppend, lookupKeys map[*ast.CallExpr]bool, callees *[]*FuncInfo) {
 	// Builtins.
 	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := pk.Info.Uses[id].(*types.Builtin); ok {
@@ -195,7 +198,9 @@ func (c *noallocChecker) checkCall(pk *Package, call *ast.CallExpr, chain []stri
 
 	// Conversions.
 	if tv, ok := pk.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		c.checkConversion(pk, call, tv.Type, chain)
+		if !lookupKeys[call] {
+			c.checkConversion(pk, call, tv.Type, chain)
+		}
 		return
 	}
 
@@ -357,6 +362,50 @@ func localCalledClosures(pk *Package, body *ast.BlockStmt) map[*ast.FuncLit]bool
 		}
 	}
 	return out
+}
+
+// mapLookupKeys marks the calls written directly as the key of a map
+// lookup on a string-keyed map, `m[string(b)]`: for a []byte→string
+// conversion there, the compiler reads the map through a temporary view of
+// b instead of allocating a string. A map index that is assigned to stores
+// its key, so its conversion is not marked.
+func mapLookupKeys(pk *Package, body *ast.BlockStmt) map[*ast.CallExpr]bool {
+	stored := map[ast.Expr]bool{}
+	keys := map[*ast.CallExpr]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				stored[unparen(l)] = true
+			}
+		case *ast.IncDecStmt:
+			stored[unparen(n.X)] = true
+		case *ast.RangeStmt:
+			if n.Key != nil {
+				stored[unparen(n.Key)] = true
+			}
+			if n.Value != nil {
+				stored[unparen(n.Value)] = true
+			}
+		case *ast.IndexExpr:
+			tv, ok := pk.Info.Types[n.X]
+			if !ok || stored[n] {
+				return true
+			}
+			m, ok := tv.Type.Underlying().(*types.Map)
+			if !ok {
+				return true
+			}
+			if k, ok := m.Key().Underlying().(*types.Basic); !ok || k.Info()&types.IsString == 0 {
+				return true
+			}
+			if call, ok := unparen(n.Index).(*ast.CallExpr); ok {
+				keys[call] = true
+			}
+		}
+		return true
+	})
+	return keys
 }
 
 // allowedAppends marks append calls of the arena-reuse shape

@@ -55,3 +55,17 @@ func warm2(s string, vals []int) {
 }
 
 func sink(f func() int) int { return f() }
+
+//nexus:noalloc
+func lookup(m map[string]int, b []byte) int {
+	// A []byte→string conversion that is directly the key of a map lookup
+	// does not allocate (near miss)...
+	n := m[string(b)]
+	if v, ok := m[string(b)]; ok {
+		n += v
+	}
+	// ...but one that stores the key, or that is not the key itself, does.
+	m[string(b)] = n // want `\[\]byte→string conversion allocates`
+	key := string(b) // want `\[\]byte→string conversion allocates`
+	return n + m[key]
+}

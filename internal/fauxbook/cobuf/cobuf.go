@@ -13,7 +13,6 @@
 package cobuf
 
 import (
-	"bytes"
 	"errors"
 
 	"repro/internal/nal"
@@ -110,14 +109,24 @@ func AppendMarshal(dst []byte, b *Buf) []byte {
 func MarshalSize(b *Buf) int { return 2 + len(b.tag) + len(b.data) }
 
 // A Decoder unmarshals a run of stored buffers, parsing an owner tag only
-// when its bytes differ from the previous buffer's: a run written by one
-// owner parses its tag once, and every distinct tag is still validated.
-// The zero value is ready to use. A Decoder keeps a reference to the last
-// tag it parsed, so it is meant to live only as long as one decoding pass.
+// when its bytes differ from the canonical tag of the owner it last
+// decoded: a run written by one owner parses its tag once, and every
+// other tag is still parsed and validated. Seed lets the caller name the
+// expected owner up front, so a run of that owner's buffers parses no tag
+// at all. The zero value is ready to use.
 type Decoder struct {
-	raw   []byte // the last parsed tag's bytes, aliasing the caller's input
 	owner nal.Principal
-	tag   string
+	tag   string // owner's canonical tag (nal.KeyOfPrin)
+}
+
+// Seed primes d with owner: an entry whose tag bytes equal owner's
+// canonical tag decodes to owner without a parse, until an entry with
+// another tag replaces it. The seed gives an entry its owner only when the
+// entry's tag is exactly that owner's canonical form; for an owner that
+// parses back from that form, as every principal ParsePrincipal returns
+// does, the entries equal an unseeded decode's.
+func (d *Decoder) Seed(owner nal.Principal) {
+	d.owner, d.tag = owner, nal.KeyOfPrin(owner)
 }
 
 // Unmarshal reverses AppendMarshal.
@@ -129,12 +138,12 @@ func (d *Decoder) Unmarshal(raw []byte) (*Buf, error) {
 	if len(raw) < 2+n {
 		return nil, ErrBounds
 	}
-	if tag := raw[2 : 2+n]; d.owner == nil || !bytes.Equal(tag, d.raw) {
+	if tag := raw[2 : 2+n]; d.owner == nil || string(tag) != d.tag {
 		owner, err := nal.ParsePrincipal(string(tag))
 		if err != nil {
 			return nil, err
 		}
-		d.raw, d.owner, d.tag = tag, owner, nal.KeyOfPrin(owner)
+		d.Seed(owner)
 	}
 	return &Buf{owner: d.owner, tag: d.tag, data: append([]byte(nil), raw[2+n:]...)}, nil
 }

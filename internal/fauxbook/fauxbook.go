@@ -413,7 +413,7 @@ func (s *Service) LoadWall(name string) error {
 	if err != nil {
 		return err
 	}
-	wall, err := unmarshalWall(blob)
+	wall, err := unmarshalWall(blob, s.prinFor(name))
 	if err != nil {
 		return err
 	}

@@ -235,11 +235,16 @@ func marshalWall(wall []*cobuf.Buf) []byte {
 
 // unmarshalWall parses the blob format back into wall entries. The blob
 // may come from a storage node the front kernel does not trust: malformed
-// bytes are an error, never a panic. Consecutive entries with the same
-// owner tag share one parse.
-func unmarshalWall(blob []byte) ([]*cobuf.Buf, error) {
+// bytes are an error, never a panic. owner, if not nil, is the principal
+// the wall's entries are expected to carry: an entry tagged with owner's
+// canonical form is not parsed, every other tag is parsed and validated,
+// and a run of entries with the same canonical tag shares one parse.
+func unmarshalWall(blob []byte, owner nal.Principal) ([]*cobuf.Buf, error) {
 	var wall []*cobuf.Buf
 	var dec cobuf.Decoder
+	if owner != nil {
+		dec.Seed(owner)
+	}
 	for len(blob) >= 2 {
 		n := int(blob[0])<<8 | int(blob[1])
 		if len(blob) < 2+n {
@@ -281,7 +286,10 @@ func (s *Service) ArchiveWall(name string) error {
 	return err
 }
 
-// RestoreWall replaces a user's wall with the archived copy.
+// RestoreWall replaces a user's wall with the archived copy. Every post
+// on a wall is created under its owner's principal (Post), so the decode
+// is seeded with it and an archived wall of the owner's posts parses no
+// owner tag.
 func (s *Service) RestoreWall(name string) error {
 	s.mu.Lock()
 	ar := s.archive
@@ -297,7 +305,7 @@ func (s *Service) RestoreWall(name string) error {
 	if err != nil {
 		return err
 	}
-	wall, err := unmarshalWall(blob)
+	wall, err := unmarshalWall(blob, s.prinFor(name))
 	if err != nil {
 		return err
 	}

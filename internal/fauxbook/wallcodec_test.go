@@ -52,7 +52,7 @@ func TestWallCodecFormat(t *testing.T) {
 	if !bytes.Equal(blob, want) {
 		t.Fatalf("wall blob changed format:\n got  %x\n want %x", blob, want)
 	}
-	back, err := unmarshalWall(blob)
+	back, err := unmarshalWall(blob, alice)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,28 +67,34 @@ func TestWallCodecFormat(t *testing.T) {
 }
 
 // TestAllocWallCodec pins the wall codec's allocations for an 8-post,
-// one-owner wall: marshalWall allocates only the blob, and unmarshalWall
-// parses the shared owner tag once rather than once per post.
+// one-owner wall: marshalWall allocates only the blob, and unmarshalWall,
+// seeded with the wall's owner, parses no owner tag: it allocates each
+// post's buffer and data (16) and the growing entry slice (4). Unseeded,
+// the one tag parse costs 10 more.
 func TestAllocWallCodec(t *testing.T) {
-	wall := testWall(8, nal.MustPrincipal("fauxbook.user.alice"))
+	alice := nal.MustPrincipal("fauxbook.user.alice")
+	wall := testWall(8, alice)
 	blob := marshalWall(wall)
 	if a := testing.AllocsPerRun(100, func() { marshalWall(wall) }); a > 1 {
 		t.Errorf("marshalWall allocates %.0f objects for 8 posts, want ≤ 1", a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		if _, err := unmarshalWall(blob); err != nil {
+		if _, err := unmarshalWall(blob, alice); err != nil {
 			t.Fatal(err)
 		}
-	}); a > 30 {
-		t.Errorf("unmarshalWall allocates %.0f objects for 8 posts, want ≤ 30", a)
+	}); a > 20 {
+		t.Errorf("seeded unmarshalWall allocates %.0f objects for 8 posts, want ≤ 20", a)
 	}
 }
 
 // FuzzWallBlob feeds unmarshalWall arbitrary bytes, as a storage node the
 // front kernel does not trust could return them: it yields entries or an
 // error and never panics; every entry's owner is what its own tag parses
-// to (tag reuse across entries never mislabels a post); and a blob whose
-// tags are all canonical re-marshals to the same bytes.
+// to (tag reuse across entries never mislabels a post); a blob whose tags
+// are all canonical re-marshals to the same bytes; and decoding with an
+// owner seed — one that matches the blob's tags or one that does not —
+// returns exactly the unseeded result, so a seed never labels a post its
+// tag does not name.
 func FuzzWallBlob(f *testing.F) {
 	alice, bob := nal.MustPrincipal("fauxbook.user.alice"), nal.MustPrincipal("key:ab12")
 	f.Add([]byte{})
@@ -100,7 +106,28 @@ func FuzzWallBlob(f *testing.F) {
 	f.Add([]byte("\x00\x09\x00\x05alicehi")) // entry runs past the blob
 	f.Add([]byte("\x00\x02\x00\x00"))        // empty tag
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		wall, err := unmarshalWall(blob)
+		wall, err := unmarshalWall(blob, nil)
+		seeds := []nal.Principal{alice, bob, nal.MustPrincipal("fauxbook.user.alice.x")}
+		if err == nil && len(wall) > 0 {
+			seeds = append(seeds, wall[0].Owner()) // what the first tag parses to
+		}
+		for _, seed := range seeds {
+			seeded, serr := unmarshalWall(blob, seed)
+			if (serr == nil) != (err == nil) {
+				t.Fatalf("seed %v: error %v, unseeded error %v", seed, serr, err)
+			}
+			if len(seeded) != len(wall) {
+				t.Fatalf("seed %v: %d entries, unseeded %d", seed, len(seeded), len(wall))
+			}
+			for i := range wall {
+				if !seeded[i].Owner().EqualPrin(wall[i].Owner()) {
+					t.Fatalf("seed %v: entry %d owner %v, unseeded %v", seed, i, seeded[i].Owner(), wall[i].Owner())
+				}
+			}
+			if err == nil && !bytes.Equal(marshalWall(seeded), marshalWall(wall)) {
+				t.Fatalf("seed %v: entries re-marshal differently from the unseeded decode", seed)
+			}
+		}
 		if err != nil {
 			return
 		}

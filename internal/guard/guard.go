@@ -13,9 +13,11 @@
 //
 // The proof cache is lock-striped: entries are spread across shards by the
 // hash of their canonical key, so concurrent checks from different subjects
-// proceed in parallel and a cache hit takes only a shard read-lock. Cache
-// keys are assembled from interned canonical forms (nal.KeyOf), so the hot
-// path never re-serializes an AST.
+// proceed in parallel and a cache hit takes only a shard read-lock. A key
+// is the goal rendered with its variables bound, plus the proof's
+// fingerprint and the credentials' hash-cons handles, written into a stack
+// buffer, so a hit allocates nothing and never builds the instantiated
+// goal.
 package guard
 
 import (
@@ -136,35 +138,52 @@ func shardIndex(key string) int {
 }
 
 // Check implements kernel.Guard.
+//
+// A proof-cache hit allocates nothing (pinned by TestAllocGuardProofCacheHit
+// and, through the kernel, TestAllocRemoteCallAuthzWarm): the key is
+// rendered into a stack buffer with the goal's variables bound in place,
+// credentials resolve into stack arrays, and the goal is instantiated only
+// on a miss, where the proof checker needs it.
+//
+//nexus:noalloc
 func (g *Generic) Check(req *kernel.GuardRequest) kernel.GuardDecision {
-	goal := g.instantiate(req)
 	if req.Proof == nil {
 		return kernel.GuardDecision{Allow: false, Cacheable: true, Reason: "no proof supplied"}
 	}
 
-	creds, credIDs, hasDynamic, err := g.resolveCreds(req)
+	var credBuf [8]nal.Formula // a request presenting more spills to the heap
+	var idBuf [8]nal.FormulaID
+	creds, credIDs, hasDynamic, err := g.resolveCreds(req, credBuf[:0], idBuf[:0])
 	if err != nil {
 		return kernel.GuardDecision{Allow: false, Cacheable: false, Reason: err.Error()}
 	}
 
-	key := cacheKey(goal, req.Proof, creds, credIDs)
-	sh := &g.shards[shardIndex(key)]
+	b := nal.Binding{Subject: req.Subject, Obj: req.Obj, Op: req.Op}
+	var keyBuf [256]byte // a longer key spills to the heap
+	key := appendCacheKey(keyBuf[:0], req.Goal, &b, req.Proof, creds, credIDs)
+	sh := &g.shards[nal.HashBytes(key)&(guardShards-1)]
 	sh.mu.RLock()
-	entry, hit := sh.entries[key]
+	entry, hit := sh.entries[string(key)]
 	sh.mu.RUnlock()
 	g.stats.Lookup(hit)
 
-	if hit {
-		// Structure already validated; only dynamic state needs re-checking.
-		for _, a := range entry.authorities {
-			if !g.authority(a.channel, a.f) {
-				return kernel.GuardDecision{Allow: false, Cacheable: false,
-					Reason: fmt.Sprintf("authority %s no longer affirms %s", a.channel, a.f)}
-			}
-		}
-		return kernel.GuardDecision{Allow: true, Cacheable: len(entry.authorities) == 0 && !hasDynamic}
+	if !hit {
+		return g.checkMiss(req, &b, string(key), creds, credIDs, hasDynamic) //nexus:coldpath — instantiates, checks and caches the proof
 	}
+	// Structure already validated; only dynamic state needs re-checking.
+	for _, a := range entry.authorities {
+		if !g.authority(a.channel, a.f) { //nexus:coldpath — authorities answer over IPC; label and certificate credentials consult none
+			return kernel.GuardDecision{Allow: false, Cacheable: false,
+				Reason: fmt.Sprintf("authority %s no longer affirms %s", a.channel, a.f)}
+		}
+	}
+	return kernel.GuardDecision{Allow: true, Cacheable: len(entry.authorities) == 0 && !hasDynamic}
+}
 
+// checkMiss is Check on a proof-cache miss: it instantiates the goal,
+// checks the proof, and caches a valid proof under key.
+func (g *Generic) checkMiss(req *kernel.GuardRequest, b *nal.Binding, key string, creds []nal.Formula, credIDs []nal.FormulaID, hasDynamic bool) kernel.GuardDecision {
+	goal := b.Subst().Apply(req.Goal)
 	var auths []authStep
 	env := &proof.Env{
 		Credentials:   creds,
@@ -190,30 +209,17 @@ func (g *Generic) Check(req *kernel.GuardRequest) kernel.GuardDecision {
 	return kernel.GuardDecision{Allow: true, Cacheable: res.Cacheable && !hasDynamic}
 }
 
-// instantiate applies the guard substitution: ?S = subject, ?O = object,
-// ?Op = operation (§2.5's calligraphic identifiers).
-func (g *Generic) instantiate(req *kernel.GuardRequest) nal.Formula {
-	sub := nal.Subst{
-		"S":  nal.PrinTerm{P: req.Subject},
-		"O":  nal.Str(req.Obj),
-		"Op": nal.Str(req.Op),
-	}
-	return sub.Apply(req.Goal)
-}
-
-// resolveCreds materializes the credential list together with hash-cons
-// handles: inline credentials reuse the IDs interned at setproof,
-// labelstore references are fetched from the mutable store, and
-// certificates are verified through the kernel's pre-verification cache —
-// one fingerprint lookup on the warm path instead of an RSA check.
-// Duplicate certificates within one request resolve once. hasDynamic
-// reports whether any credential came from mutable or revocable state
-// (references, certificates); such decisions stay out of the kernel
-// decision cache so a label change or a revocation takes effect on the
-// next check.
-func (g *Generic) resolveCreds(req *kernel.GuardRequest) ([]nal.Formula, []nal.FormulaID, bool, error) {
-	creds := make([]nal.Formula, 0, len(req.Creds))
-	ids := make([]nal.FormulaID, 0, len(req.Creds))
+// resolveCreds appends the credential list to creds, and the matching
+// hash-cons handles to ids: inline credentials reuse the IDs interned at
+// setproof, labelstore references are fetched from the mutable store and
+// carry the ID their label recorded when it was created, and certificates
+// are verified through the kernel's pre-verification cache — one
+// fingerprint lookup on the warm path instead of a signature check. Duplicate
+// certificates within one request resolve once. hasDynamic reports whether
+// any credential came from mutable or revocable state (references,
+// certificates); such decisions stay out of the kernel decision cache so a
+// label change or a revocation takes effect on the next check.
+func (g *Generic) resolveCreds(req *kernel.GuardRequest, creds []nal.Formula, ids []nal.FormulaID) ([]nal.Formula, []nal.FormulaID, bool, error) {
 	hasDynamic := false
 	for i, c := range req.Creds {
 		switch {
@@ -222,7 +228,7 @@ func (g *Generic) resolveCreds(req *kernel.GuardRequest) ([]nal.Formula, []nal.F
 			if i < len(req.CredIDs) {
 				id = req.CredIDs[i]
 			}
-			if id == 0 {
+			if id == 0 { //nexus:coldpath — setproof interned it; 0 only for a request built without IDs, or at cons saturation
 				id, _ = nal.IDOf(c.Inline)
 			}
 			creds = append(creds, c.Inline)
@@ -237,9 +243,8 @@ func (g *Generic) resolveCreds(req *kernel.GuardRequest) ([]nal.Formula, []nal.F
 			if err != nil {
 				return nil, nil, true, fmt.Errorf("credential %d: %v", i, err)
 			}
-			id, _ := nal.IDOf(l.Formula)
 			creds = append(creds, l.Formula)
-			ids = append(ids, id)
+			ids = append(ids, l.ID())
 		case c.Cert != nil:
 			hasDynamic = true
 			if j := prevCertIndex(req.Creds[:i], c.Cert); j >= 0 {
@@ -249,7 +254,10 @@ func (g *Generic) resolveCreds(req *kernel.GuardRequest) ([]nal.Formula, []nal.F
 				ids = append(ids, ids[j])
 				break
 			}
-			f, id, err := g.k.CertCache().Label(c.Cert)
+			// Not allocation-free: the verify cache fingerprints the
+			// certificate on every lookup. The pinned hit path presents
+			// labelstore references and inline credentials.
+			f, id, err := g.k.CertCache().Label(c.Cert) //nexus:coldpath
 			if err != nil {
 				return nil, nil, true, fmt.Errorf("credential %d: %v", i, err)
 			}
@@ -380,7 +388,10 @@ func (s *proofShard) removeFirst(g *Generic, pred func(*cachedProof) bool) bool 
 		return false
 	}
 	delete(s.entries, s.order[victim])
-	s.order = append(s.order[:victim:victim], s.order[victim+1:]...)
+	// Close the gap in place: FIFO order is kept and the array reused.
+	n := copy(s.order[victim:], s.order[victim+1:])
+	s.order[victim+n] = ""
+	s.order = s.order[:victim+n]
 	g.size.Add(-1)
 	g.quotaMu.Lock()
 	if g.quotas[owner]--; g.quotas[owner] <= 0 {
@@ -392,30 +403,31 @@ func (s *proofShard) removeFirst(g *Generic, pred func(*cachedProof) bool) bool 
 	return true
 }
 
-// cacheKey identifies a (goal, proof, credentials) combination. The goal is
-// rendered with the canonical single-buffer encoder — deliberately NOT
-// nal.KeyOf or nal.IDOf: instantiated goals embed per-process principals,
-// so interning them would fill the global tables with dead entries as
-// processes churn; the bounded, evicting proof cache is the right home for
-// per-request keys. Credentials, which do repeat across requests, are
-// encoded as hash-cons handles (a tag byte plus varint), so they are never
+// appendCacheKey appends the key identifying a (goal, proof, credentials)
+// combination to dst. The goal is rendered by the canonical encoder with
+// its guard variables bound in place, which is byte for byte the
+// instantiated goal's canonical form — deliberately NOT nal.KeyOf or
+// nal.IDOf: instantiated goals embed per-process principals, so interning
+// them would fill the global tables with dead entries as processes churn;
+// the bounded, evicting proof cache is the right home for per-request
+// keys. Credentials, which do repeat across requests, are encoded as
+// hash-cons handles (a tag byte plus varint), so they are never
 // re-serialized and duplicate credentials contribute identical short runs
 // instead of inflating the key; a credential without a handle (cons
 // saturation) falls back to its canonical bytes under a distinct tag.
-func cacheKey(goal nal.Formula, p *proof.Proof, creds []nal.Formula, ids []nal.FormulaID) string {
-	buf := make([]byte, 0, 160)
-	buf = nal.AppendFormula(buf, goal)
-	buf = append(buf, 0)
-	buf = append(buf, p.Fingerprint()...)
+func appendCacheKey(dst []byte, goal nal.Formula, b *nal.Binding, p *proof.Proof, creds []nal.Formula, ids []nal.FormulaID) []byte {
+	dst = nal.AppendBound(dst, goal, b)
+	dst = append(dst, 0)
+	dst = append(dst, p.Fingerprint()...)
 	for i, c := range creds {
-		buf = append(buf, 0)
+		dst = append(dst, 0)
 		if i < len(ids) && ids[i] != 0 {
-			buf = append(buf, 1)
-			buf = binary.AppendUvarint(buf, uint64(ids[i]))
+			dst = append(dst, 1)
+			dst = binary.AppendUvarint(dst, uint64(ids[i]))
 		} else {
-			buf = append(buf, 2)
-			buf = nal.AppendFormula(buf, c)
+			dst = append(dst, 2)
+			dst = nal.AppendFormula(dst, c)
 		}
 	}
-	return string(buf)
+	return dst
 }

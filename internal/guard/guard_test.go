@@ -2,6 +2,7 @@ package guard
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/disk"
@@ -413,5 +414,34 @@ func TestGuardStatsShape(t *testing.T) {
 	h, m, e := w.g.Stats()
 	if h != s.Hits || m != s.Misses || e != s.Evictions {
 		t.Error("Stats() disagrees with StatsSnapshot()")
+	}
+}
+
+// TestRemoveFirstKeepsFIFO evicts from the middle, the front and the back
+// of a shard and checks that the survivors keep their insertion order and
+// stay in step with the entry map.
+func TestRemoveFirstKeepsFIFO(t *testing.T) {
+	g := &Generic{quotas: map[string]int{}}
+	sh := &proofShard{entries: map[string]*cachedProof{}}
+	for _, k := range []string{"a", "b", "c", "d", "e"} {
+		sh.entries[k] = &cachedProof{owner: k}
+		sh.order = append(sh.order, k)
+		g.quotas[k]++
+	}
+	for _, victim := range []string{"c", "a", "e"} {
+		if !sh.removeFirst(g, func(e *cachedProof) bool { return e.owner == victim }) {
+			t.Fatalf("no entry %q to evict", victim)
+		}
+	}
+	if got := strings.Join(sh.order, ","); got != "b,d" || len(sh.entries) != 2 {
+		t.Fatalf("after evicting c, a, e: order %q with %d entries, want \"b,d\" with 2", got, len(sh.entries))
+	}
+	for _, k := range sh.order {
+		if sh.entries[k] == nil {
+			t.Errorf("order names %q, which has no entry", k)
+		}
+	}
+	if sh.removeFirst(g, func(e *cachedProof) bool { return e.owner == "c" }) {
+		t.Error("evicted an entry that is gone")
 	}
 }

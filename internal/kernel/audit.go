@@ -42,27 +42,23 @@ type AuditRecord struct {
 	Hash [32]byte
 }
 
-// auditHash computes a record's chain hash from its predecessor's.
+// auditHash computes a record's chain hash from its predecessor's. The
+// hashed bytes are laid out in a stack buffer and digested in one call, so
+// a record that fits the buffer hashes without allocating.
 func auditHash(prev [32]byte, seq uint64, subj, op, obj string, allow bool, reason string) [32]byte {
-	h := sha256.New()
-	h.Write(prev[:])
-	var seqb [8]byte
-	binary.LittleEndian.PutUint64(seqb[:], seq)
-	h.Write(seqb[:])
+	var buf [512]byte // a longer record spills to the heap
+	b := append(buf[:0], prev[:]...)
+	b = binary.LittleEndian.AppendUint64(b, seq)
 	for _, s := range [...]string{subj, op, obj, reason} {
-		var lb [4]byte
-		binary.LittleEndian.PutUint32(lb[:], uint32(len(s)))
-		h.Write(lb[:])
-		h.Write([]byte(s))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
+		b = append(b, s...)
 	}
 	if allow {
-		h.Write([]byte{1})
+		b = append(b, 1)
 	} else {
-		h.Write([]byte{0})
+		b = append(b, 0)
 	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	return sha256.Sum256(b)
 }
 
 // AuditLog is the kernel's tamper-evident decision record.

@@ -190,6 +190,52 @@ func TestLabelstoreSayAndTransfer(t *testing.T) {
 	}
 }
 
+// TestLabelIDSetAtCreation checks that every way a label comes into
+// being — say, a kernel-issued binding, transfer, import — records its
+// formula's hash-cons ID, which guards read instead of re-interning.
+func TestLabelIDSetAtCreation(t *testing.T) {
+	k := bootKernel(t)
+	p, _ := k.CreateProcess(0, []byte("a"))
+	q, _ := k.CreateProcess(0, []byte("b"))
+	check := func(how string, l *Label) {
+		t.Helper()
+		want, ok := nal.IDOf(l.Formula)
+		if !ok || l.ID() != want {
+			t.Errorf("%s: label ID %d, formula interns as %d (ok=%v)", how, l.ID(), want, ok)
+		}
+	}
+	said, err := p.Labels.Say("isTypeSafe(hash:ab12)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("say", said)
+	if _, err := k.CreatePort(p, func(Caller, *Msg) ([]byte, error) { return nil, nil }); err != nil {
+		t.Fatal(err)
+	}
+	p.Labels.mu.RLock()
+	for _, l := range p.Labels.labels {
+		if l != said {
+			check("port binding", l)
+		}
+	}
+	p.Labels.mu.RUnlock()
+	moved, err := p.Labels.Transfer(said.Handle, q.Labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("transfer", moved)
+	ext, err := q.Labels.Externalize(moved.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := bootKernel(t).CreateProcess(0, []byte("c"))
+	il, err := r.Labels.Import(ext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("import", il)
+}
+
 func TestSayIdempotentSpeaker(t *testing.T) {
 	k := bootKernel(t)
 	p, _ := k.CreateProcess(0, []byte("a"))

@@ -22,6 +22,12 @@ type Label struct {
 	Speaker nal.Principal
 	Formula nal.Formula
 
+	// id is Formula's hash-cons handle, interned where the label is
+	// created (0 if the cons tables are saturated). A label is immutable
+	// and handles are never reused, so guards presenting the label as a
+	// credential read it instead of re-interning the formula per check.
+	id nal.FormulaID
+
 	// ext memoizes the externalized (signed) form. Labels are immutable
 	// once issued and valid indefinitely (§2.7), so the certificate —
 	// including its Issued timestamp — is minted at most once per label;
@@ -32,6 +38,10 @@ type Label struct {
 	// Guarded by the store's mu.
 	ext *ExternalLabel
 }
+
+// ID returns the hash-cons handle of the label's formula, or 0 if the
+// formula could not be interned (cons saturation).
+func (l *Label) ID() nal.FormulaID { return l.id }
 
 // Labelstore holds the labels issued by (or transferred to) one process.
 type Labelstore struct {
@@ -62,12 +72,15 @@ func (ls *Labelstore) SayFormula(f nal.Formula) (*Label, error) {
 	if !nal.Ground(f) {
 		return nil, fmt.Errorf("kernel: say: statement must be ground")
 	}
+	said := nal.SaysWrap(ls.owner.Prin, f)
+	id, _ := nal.IDOf(said)
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	l := &Label{
 		Handle:  ls.next,
 		Speaker: ls.owner.Prin,
-		Formula: nal.SaysWrap(ls.owner.Prin, f),
+		Formula: said,
+		id:      id,
 	}
 	ls.next++
 	ls.labels[l.Handle] = l
@@ -77,9 +90,10 @@ func (ls *Labelstore) SayFormula(f nal.Formula) (*Label, error) {
 // insertSystem deposits a kernel-issued label (e.g. an IPC binding or an
 // ownership grant) into the store.
 func (ls *Labelstore) insertSystem(f nal.Formula) *Label {
+	id, _ := nal.IDOf(f)
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	l := &Label{Handle: ls.next, Speaker: ls.owner.kernel.Prin, Formula: f}
+	l := &Label{Handle: ls.next, Speaker: ls.owner.kernel.Prin, Formula: f, id: id}
 	ls.next++
 	ls.labels[l.Handle] = l
 	return l
@@ -122,7 +136,7 @@ func (ls *Labelstore) Transfer(handle int, dst *Labelstore) (*Label, error) {
 	}
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
-	nl := &Label{Handle: dst.next, Speaker: l.Speaker, Formula: l.Formula}
+	nl := &Label{Handle: dst.next, Speaker: l.Speaker, Formula: l.Formula, id: l.id}
 	dst.next++
 	dst.labels[nl.Handle] = nl
 	return nl, nil
@@ -215,13 +229,13 @@ func (ls *Labelstore) Externalize(handle int) (*ExternalLabel, error) {
 // guard resolving it as a credential) skips the RSA check; a revoked
 // certificate fails here regardless of cache state.
 func (ls *Labelstore) Import(ext *ExternalLabel) (*Label, error) {
-	f, _, err := ls.owner.kernel.certs.Label(ext.LabelCert)
+	f, id, err := ls.owner.kernel.certs.Label(ext.LabelCert)
 	if err != nil {
 		return nil, fmt.Errorf("kernel: import: %w", err)
 	}
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	l := &Label{Handle: ls.next, Speaker: ls.owner.kernel.Prin, Formula: f}
+	l := &Label{Handle: ls.next, Speaker: ls.owner.kernel.Prin, Formula: f, id: id}
 	ls.next++
 	ls.labels[l.Handle] = l
 	return l, nil

@@ -58,28 +58,24 @@ type Record struct {
 }
 
 // LeafHash computes the Merkle leaf for a record. Every field participates,
-// so a single-bit mutation of any field breaks the proof.
+// so a single-bit mutation of any field breaks the proof. The hashed bytes
+// are laid out in a stack buffer and digested in one call, so a record
+// that fits the buffer hashes without allocating.
 func LeafHash(r *Record) [32]byte {
-	h := sha256.New()
-	h.Write([]byte("nexus-ledger-leaf/"))
-	var seqb [8]byte
-	binary.LittleEndian.PutUint64(seqb[:], r.Seq)
-	h.Write(seqb[:])
+	var buf [512]byte // a longer record spills to the heap
+	b := append(buf[:0], "nexus-ledger-leaf/"...)
+	b = binary.LittleEndian.AppendUint64(b, r.Seq)
 	for _, s := range [...]string{r.Subj, r.Op, r.Obj, r.Reason} {
-		var lb [4]byte
-		binary.LittleEndian.PutUint32(lb[:], uint32(len(s)))
-		h.Write(lb[:])
-		h.Write([]byte(s))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
+		b = append(b, s...)
 	}
 	if r.Allow {
-		h.Write([]byte{1})
+		b = append(b, 1)
 	} else {
-		h.Write([]byte{0})
+		b = append(b, 0)
 	}
-	h.Write(r.ChainHash[:])
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	b = append(b, r.ChainHash[:]...)
+	return sha256.Sum256(b)
 }
 
 // Batch is one sealed, anchored aggregate of records. Anchors form a hash

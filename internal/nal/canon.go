@@ -18,56 +18,105 @@ import (
 //
 // The String methods in formula.go, term.go, principal.go, and subst.go all
 // delegate to the appendX encoders below, so the canonical form cannot
-// drift from the printed form.
+// drift from the printed form. The same encoders render a guard goal with
+// its variables bound (AppendBound), so a key built from a bound goal
+// cannot drift from the instantiated goal's canonical form either.
 
 // ---------------------------------------------------------------- encoders
 
 // AppendFormula appends the canonical form of f (identical to f.String())
 // to dst and returns the extended slice.
-func AppendFormula(dst []byte, f Formula) []byte { return appendFormula(dst, f) }
+func AppendFormula(dst []byte, f Formula) []byte { return appendFormula(dst, f, nil, false) }
 
-func appendFormula(dst []byte, f Formula) []byte {
+// Binding gives the guard variables ?S, ?O and ?Op the values a guard
+// substitutes for one access (§2.5): the subject, the object and the
+// operation.
+type Binding struct {
+	Subject Principal
+	Obj, Op string
+}
+
+// Subst returns the substitution b stands for.
+func (b *Binding) Subst() Subst {
+	return Subst{"S": PrinTerm{P: b.Subject}, "O": Str(b.Obj), "Op": Str(b.Op)}
+}
+
+// AppendBound appends the canonical form of f with the guard variables
+// bound by b — byte for byte AppendFormula(dst, b.Subst().Apply(f)) —
+// without building the instantiated formula. A nil b binds nothing.
+func AppendBound(dst []byte, f Formula, b *Binding) []byte {
+	return appendFormula(dst, f, b, false)
+}
+
+// The encoders thread a binding b (nil for a plain render) through the
+// walk and bind exactly where Subst.Apply substitutes: a term-position ?S,
+// ?O or ?Op, and a principal-position ?S (a principal position takes only
+// a principal value, and ?O and ?Op bind to strings). A bound value is
+// rendered unbound, as Apply does not substitute inside it.
+//
+// Each encoder recurses only into itself, never around a cycle of
+// functions: Go's escape analysis moves a buffer passed around such a
+// cycle to the heap, and the guard renders its keys into a stack buffer.
+
+// appendFormula appends f's canonical form. Operands of says, not and the
+// binary connectives are rendered with wrap set, which parenthesizes a
+// binary connective so the output is unambiguous and reparseable.
+func appendFormula(dst []byte, f Formula, b *Binding, wrap bool) []byte {
+	if wrap {
+		switch f.(type) {
+		case And, Or, Implies:
+			dst = append(dst, '(')
+			dst = appendFormula(dst, f, b, false)
+			dst = append(dst, ')')
+			return dst
+		}
+	}
 	switch v := f.(type) {
 	case Pred:
 		dst = append(dst, v.Name...)
 		if len(v.Args) > 0 {
 			dst = append(dst, '(')
-			dst = appendTermList(dst, v.Args)
+			for i, a := range v.Args {
+				if i > 0 {
+					dst = append(dst, ", "...)
+				}
+				dst = appendTerm(dst, a, b)
+			}
 			dst = append(dst, ')')
 		}
 	case Says:
-		dst = appendPrin(dst, v.P)
+		dst = appendPrin(dst, v.P, b)
 		dst = append(dst, " says "...)
-		dst = appendParen(dst, v.F)
+		dst = appendFormula(dst, v.F, b, true)
 	case SpeaksFor:
-		dst = appendPrin(dst, v.A)
+		dst = appendPrin(dst, v.A, b)
 		dst = append(dst, " speaksfor "...)
-		dst = appendPrin(dst, v.B)
+		dst = appendPrin(dst, v.B, b)
 		if v.On != nil {
 			dst = append(dst, " on "...)
 			dst = append(dst, v.On.Pred...)
 		}
 	case Compare:
-		dst = appendTerm(dst, v.L)
+		dst = appendTerm(dst, v.L, b)
 		dst = append(dst, ' ')
 		dst = append(dst, v.Op.String()...)
 		dst = append(dst, ' ')
-		dst = appendTerm(dst, v.R)
+		dst = appendTerm(dst, v.R, b)
 	case Not:
 		dst = append(dst, "not "...)
-		dst = appendParen(dst, v.F)
+		dst = appendFormula(dst, v.F, b, true)
 	case And:
-		dst = appendParen(dst, v.L)
+		dst = appendFormula(dst, v.L, b, true)
 		dst = append(dst, " and "...)
-		dst = appendParen(dst, v.R)
+		dst = appendFormula(dst, v.R, b, true)
 	case Or:
-		dst = appendParen(dst, v.L)
+		dst = appendFormula(dst, v.L, b, true)
 		dst = append(dst, " or "...)
-		dst = appendParen(dst, v.R)
+		dst = appendFormula(dst, v.R, b, true)
 	case Implies:
-		dst = appendParen(dst, v.L)
+		dst = appendFormula(dst, v.L, b, true)
 		dst = append(dst, " => "...)
-		dst = appendParen(dst, v.R)
+		dst = appendFormula(dst, v.R, b, true)
 	case FalseF:
 		dst = append(dst, "false"...)
 	case TrueF:
@@ -78,29 +127,7 @@ func appendFormula(dst []byte, f Formula) []byte {
 	return dst
 }
 
-// appendParen is the buffer analogue of paren: binary connectives are
-// wrapped so the output is unambiguous and reparseable.
-func appendParen(dst []byte, f Formula) []byte {
-	switch f.(type) {
-	case And, Or, Implies:
-		dst = append(dst, '(')
-		dst = appendFormula(dst, f)
-		return append(dst, ')')
-	}
-	return appendFormula(dst, f)
-}
-
-func appendTermList(dst []byte, ts []Term) []byte {
-	for i, t := range ts {
-		if i > 0 {
-			dst = append(dst, ", "...)
-		}
-		dst = appendTerm(dst, t)
-	}
-	return dst
-}
-
-func appendTerm(dst []byte, t Term) []byte {
+func appendTerm(dst []byte, t Term, b *Binding) []byte {
 	switch v := t.(type) {
 	case Str:
 		dst = strconv.AppendQuote(dst, string(v))
@@ -112,18 +139,38 @@ func appendTerm(dst []byte, t Term) []byte {
 	case Atom:
 		dst = append(dst, v...)
 	case Var:
+		if b != nil {
+			switch v {
+			case "S":
+				return appendPrin(dst, b.Subject, nil)
+			case "O":
+				return strconv.AppendQuote(dst, b.Obj)
+			case "Op":
+				return strconv.AppendQuote(dst, b.Op)
+			}
+		}
 		dst = append(dst, '?')
 		dst = append(dst, v...)
 	case PrinTerm:
-		dst = appendPrin(dst, v.P)
+		dst = appendPrin(dst, v.P, b)
 	case TermList:
 		dst = append(dst, '[')
-		dst = appendTermList(dst, v)
+		for i, e := range v {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendTerm(dst, e, b)
+		}
 		dst = append(dst, ']')
 	case Func:
 		dst = append(dst, v.Name...)
 		dst = append(dst, '(')
-		dst = appendTermList(dst, v.Args)
+		for i, e := range v.Args {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendTerm(dst, e, b)
+		}
 		dst = append(dst, ')')
 	default:
 		panic("nal: unknown term type in canonical encoder")
@@ -145,7 +192,7 @@ func appendTimeValue(dst []byte, t time.Time) []byte {
 	return t.AppendFormat(dst, time.RFC3339Nano)
 }
 
-func appendPrin(dst []byte, p Principal) []byte {
+func appendPrin(dst []byte, p Principal, b *Binding) []byte {
 	switch v := p.(type) {
 	case Name:
 		dst = append(dst, v...)
@@ -156,10 +203,13 @@ func appendPrin(dst []byte, p Principal) []byte {
 		dst = append(dst, "hash:"...)
 		dst = append(dst, v...)
 	case Sub:
-		dst = appendPrin(dst, v.Parent)
+		dst = appendPrin(dst, v.Parent, b)
 		dst = append(dst, '.')
 		dst = append(dst, v.Tag...)
 	case varPrin:
+		if b != nil && v == "S" {
+			return appendPrin(dst, b.Subject, nil)
+		}
 		dst = append(dst, '?')
 		dst = append(dst, v...)
 	default:
@@ -224,6 +274,16 @@ func Hash64(f Formula) uint64 { return uint64(hashFormula(fnvOffset, f)) }
 // parameters as the structural hashes, for callers (e.g. the guard's cache
 // sharding) that key on canonical strings.
 func HashString(s string) uint64 { return uint64(fnvOffset.str(s)) }
+
+// HashBytes is HashString over a byte slice: HashBytes(b) equals
+// HashString(string(b)), without the conversion.
+func HashBytes(b []byte) uint64 {
+	h := fnvOffset
+	for _, c := range b {
+		h = h.byte(c)
+	}
+	return uint64(h)
+}
 
 // Hash64Prin is Hash64 for principals.
 func Hash64Prin(p Principal) uint64 { return uint64(hashPrin(fnvOffset, p)) }
@@ -389,11 +449,11 @@ func (t *internTable[T]) key(h uint64, v T) string {
 var (
 	formulaTab = &internTable[Formula]{
 		eq:  func(a, b Formula) bool { return a.Equal(b) },
-		enc: appendFormula,
+		enc: AppendFormula,
 	}
 	prinTab = &internTable[Principal]{
 		eq:  func(a, b Principal) bool { return a.EqualPrin(b) },
-		enc: appendPrin,
+		enc: func(dst []byte, p Principal) []byte { return appendPrin(dst, p, nil) },
 	}
 )
 

@@ -136,14 +136,14 @@ func (op CompareOp) Eval(sign int) bool {
 // render the whole AST into one buffer; binary connectives are
 // parenthesized there so the output is unambiguous and reparseable.
 
-func (p Pred) String() string      { return string(appendFormula(nil, p)) }
-func (s Says) String() string      { return string(appendFormula(nil, s)) }
-func (s SpeaksFor) String() string { return string(appendFormula(nil, s)) }
-func (c Compare) String() string   { return string(appendFormula(nil, c)) }
-func (n Not) String() string       { return string(appendFormula(nil, n)) }
-func (a And) String() string       { return string(appendFormula(nil, a)) }
-func (o Or) String() string        { return string(appendFormula(nil, o)) }
-func (i Implies) String() string   { return string(appendFormula(nil, i)) }
+func (p Pred) String() string      { return string(AppendFormula(nil, p)) }
+func (s Says) String() string      { return string(AppendFormula(nil, s)) }
+func (s SpeaksFor) String() string { return string(AppendFormula(nil, s)) }
+func (c Compare) String() string   { return string(AppendFormula(nil, c)) }
+func (n Not) String() string       { return string(AppendFormula(nil, n)) }
+func (a And) String() string       { return string(AppendFormula(nil, a)) }
+func (o Or) String() string        { return string(AppendFormula(nil, o)) }
+func (i Implies) String() string   { return string(AppendFormula(nil, i)) }
 func (FalseF) String() string      { return "false" }
 func (TrueF) String() string       { return "true" }
 

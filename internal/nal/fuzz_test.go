@@ -94,3 +94,37 @@ func FuzzParsePrincipal(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGoalKey checks the bound encoder against the substitution it stands
+// for: for any goal Parse accepts and any subject, object and operation,
+// AppendBound renders exactly the canonical form of the instantiated goal.
+// The guard's proof-cache key is that render, so this equality is what
+// keeps the key as injective as the canonical form.
+func FuzzGoalKey(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add(s, "kernel.ipd.12", "file:/x", "read")
+	}
+	f.Add("?S says ?O says ?Op says x", "key:ab12.ipd.3", `o"bj`, "wr\\ite")
+	f.Add("?S.child says f(?S, [?O, ?Op], g(?V))", "?O", "", "")
+	f.Add("?S speaksfor ?O on P and ?Op = ?O", "hash:ff", "obj", "op")
+	f.Add("?O says x => not (?Op says ?S says y)", "not a principal!", "\x00", "é")
+	f.Fuzz(func(t *testing.T, goalSrc, subjSrc, obj, op string) {
+		goal, err := Parse(goalSrc)
+		if err != nil {
+			return
+		}
+		var subj Principal = Name(subjSrc)
+		if p, err := ParsePrincipal(subjSrc); err == nil {
+			subj = p
+		}
+		sub := Subst{"S": PrinTerm{P: subj}, "O": Str(obj), "Op": Str(op)}
+		want := AppendFormula(nil, sub.Apply(goal))
+		b := &Binding{Subject: subj, Obj: obj, Op: op}
+		if got := AppendBound([]byte("prefix"), goal, b); string(got[len("prefix"):]) != string(want) {
+			t.Fatalf("bound render of %q with ?S=%q ?O=%q ?Op=%q:\n got  %q\n want %q", goalSrc, subj, obj, op, got[len("prefix"):], want)
+		}
+		if got := AppendBound(nil, goal, nil); string(got) != goal.String() {
+			t.Fatalf("unbound render of %q is %q, want %q", goalSrc, got, goal.String())
+		}
+	})
+}

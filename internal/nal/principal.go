@@ -47,7 +47,7 @@ func (n Name) String() string     { return string(n) }
 func (k Key) String() string      { return "key:" + string(k) }
 func (h HashPrin) String() string { return "hash:" + string(h) }
 
-func (s Sub) String() string { return string(appendPrin(nil, s)) }
+func (s Sub) String() string { return string(appendPrin(nil, s, nil)) }
 
 func (n Name) EqualPrin(o Principal) bool { v, ok := o.(Name); return ok && v == n }
 func (k Key) EqualPrin(o Principal) bool  { v, ok := o.(Key); return ok && v == k }

@@ -138,7 +138,7 @@ func (p *Proof) Compiled() (*Compiled, error) {
 // once. Guards key their proof caches on it (§2.9), so registered proofs
 // must not be mutated afterwards.
 func (p *Proof) Fingerprint() string {
-	p.fpOnce.Do(func() {
+	p.fpOnce.Do(func() { //nexus:coldpath — runs once per proof; later calls only load p.fp
 		sum := sha1.Sum([]byte(p.String()))
 		p.fp = hex.EncodeToString(sum[:])
 	})

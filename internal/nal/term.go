@@ -61,7 +61,7 @@ func (PrinTerm) isTerm() {}
 func (TermList) isTerm() {}
 func (Func) isTerm()     {}
 
-func (f Func) String() string { return string(appendTerm(nil, f)) }
+func (f Func) String() string { return string(appendTerm(nil, f, nil)) }
 
 func (f Func) EqualTerm(o Term) bool {
 	v, ok := o.(Func)
@@ -84,11 +84,11 @@ func (v Var) String() string  { return "?" + string(v) }
 // Time renders as the short date form only when that form reparses to the
 // same instant (UTC-offset midnight with no sub-second part); otherwise RFC
 // 3339 with nanoseconds. See appendTimeValue in canon.go.
-func (t Time) String() string { return string(appendTerm(nil, t)) }
+func (t Time) String() string { return string(appendTerm(nil, t, nil)) }
 
 func (p PrinTerm) String() string { return p.P.String() }
 
-func (l TermList) String() string { return string(appendTerm(nil, l)) }
+func (l TermList) String() string { return string(appendTerm(nil, l, nil)) }
 
 func (s Str) EqualTerm(o Term) bool { v, ok := o.(Str); return ok && v == s }
 func (i Int) EqualTerm(o Term) bool { v, ok := o.(Int); return ok && v == i }
