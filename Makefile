@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: check vet lint lint-fix-hints build test race bench-smoke bench-parallel fuzz-smoke api-check api-update leakcheck
+.PHONY: check fmt vet lint lint-fix-hints build test race bench-smoke bench-json bench-parallel perfbench-check fuzz-smoke api-check api-update leakcheck
 
-# check is the CI gate: static analysis (vet + nexuslint), build, the full
-# race suite, the API-stability gate, the transport goroutine-leak gate,
-# and a short benchmark smoke so the parallel and batch benchmarks cannot
-# bit-rot.
-check: vet lint build race api-check leakcheck bench-smoke
+# check is the CI gate: formatting, static analysis (vet + nexuslint),
+# build, the full race suite, the API-stability gate, the transport
+# goroutine-leak gate, a benchmark smoke so no benchmark can bit-rot, and
+# vet + tests of the perfbench module.
+check: fmt vet lint build race api-check leakcheck bench-smoke perfbench-check
+
+# fmt fails when gofmt would reformat any Go file.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt -l:" $$files >&2; exit 1; fi
 
 # lint runs nexuslint, the repo-specific analyzer suite: the lock-order
 # DAG (internal/analysis/lockorder.txt), the errno taxonomy on ABI error
@@ -45,6 +49,11 @@ api-update:
 vet:
 	$(GO) vet ./...
 
+# perfbench-check vets and tests the perfbench module (the repository
+# benchmark), which the root module's ./... patterns do not reach.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 build:
 	$(GO) build ./...
 
@@ -59,15 +68,21 @@ race:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./...
 
 # bench-smoke runs every benchmark in the root package and the ledger once
-# (-benchtime=1x) so bench code cannot rot; use bench-parallel (or go test
-# -bench with a real benchtime) for measurements.
+# (-benchtime=1x), every BENCH row and paper exhibit included, so bench
+# code cannot rot; use bench-json and bench-parallel for measurements.
 bench-smoke:
-	$(GO) test -run=XXX -bench=. -benchtime=1x . ./internal/ledger
+	$(GO) test -run=XXX -bench=. -benchtime=1x -timeout $(TEST_TIMEOUT) . ./internal/ledger
+
+# bench-json regenerates BENCH_net.json, BENCH_abi.json, BENCH_proof.json
+# and BENCH_ledger.json: five runs of each recorded benchmark, folded by
+# cmd/experiments into the median, min and max of every unit.
+bench-json:
+	$(GO) test -run=XXX -bench='^Benchmark(Net|ABI|Proof|Ledger)$$' -benchmem -count=5 -timeout=30m . ./internal/ledger | $(GO) run ./cmd/experiments
 
 # bench-parallel measures multi-core scaling of the authorization fast
-# path (compare the -cpu=1 and -cpu=4 lines).
+# paths: one table row per GOMAXPROCS.
 bench-parallel:
-	$(GO) test -run=XXX -bench=Parallel -cpu=1,4 .
+	$(GO) test -run=XXX -bench=Parallel -benchmem -cpu=1,2,4,8 . | $(GO) run ./cmd/experiments
 
 # fuzz-smoke runs each fuzzer briefly; CI-friendly bound.
 FUZZTIME ?= 30s

@@ -1,10 +1,5 @@
 // Benchmarks for the user↔kernel ABI: Session.Call versus batched
-// submission through the submission/completion queue. BenchmarkBatchedIPC
-// is the acceptance exhibit for the ABI redesign — per-op latency at
-// batch=64 must undercut the single-call path, because the batch pushes N
-// operations through one kernel entry, resolving handles and authorizing
-// per-op while amortizing marshaling (one pooled arena instead of one
-// allocation per call) and dispatch setup.
+// submission through the submission/completion queue.
 package nexus
 
 import (
@@ -14,42 +9,6 @@ import (
 	"repro/internal/kernel"
 )
 
-// abiWorld wires the standard ABI measurement target: a guarded echo port
-// behind the full dispatch pipeline (authorization on with a warm decision
-// cache, interposition on — the "Nexus standard" configuration of Table 1),
-// a server session, and a client session holding a channel handle.
-func abiWorld(b *testing.B, opts kernel.Options) (cli *kernel.Session, ch kernel.Cap) {
-	b.Helper()
-	k := benchKernel(b, opts)
-	k.SetGuard(guardAllowAll{})
-	srv, err := k.NewSession([]byte("abi-srv"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	pc, err := srv.Listen(func(kernel.Caller, *kernel.Msg) ([]byte, error) {
-		return nil, nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	portID, err := srv.PortOf(pc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cli, err = k.NewSession([]byte("abi-cli"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if ch, err = cli.Open(portID); err != nil {
-		b.Fatal(err)
-	}
-	// Warm the decision cache so the measured paths are the steady state.
-	if _, err := cli.Call(ch, &kernel.Msg{Op: "read", Obj: "obj"}); err != nil {
-		b.Fatal(err)
-	}
-	return cli, ch
-}
-
 // guardAllowAll admits every request cacheably, so the warm path is the
 // decision cache, exactly like the Figure 4 steady state.
 type guardAllowAll struct{}
@@ -58,16 +17,44 @@ func (guardAllowAll) Check(*kernel.GuardRequest) kernel.GuardDecision {
 	return kernel.GuardDecision{Allow: true, Cacheable: true}
 }
 
-// BenchmarkBatchedIPC reports per-operation latency for the single-call
-// path and for batched submission at depths 1, 8, and 64. Every reported
-// ns/op is one IPC operation, whichever entry shape carried it.
-func BenchmarkBatchedIPC(b *testing.B) {
+// BenchmarkABI is BENCH_abi.json, the acceptance exhibit for the ABI: the
+// single-call path against batched submission at depths 1, 8 and 64. Every
+// iteration is one IPC operation, whichever entry shape carried it, so
+// batch=64 per-op latency must undercut single-call — the batch pushes N
+// operations through one kernel entry, resolving handles and authorizing
+// per op while amortizing marshaling and dispatch setup.
+//
+// The target is a guarded echo port behind the full dispatch pipeline:
+// authorization on with a warm decision cache, interposition on — the
+// "Nexus standard" configuration of Table 1.
+func BenchmarkABI(b *testing.B) {
+	k := benchKernel(b, kernel.Options{})
+	k.SetGuard(guardAllowAll{})
+	srv, err := k.NewSession([]byte("abi-srv"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pc, err := srv.Listen(func(kernel.Caller, *kernel.Msg) ([]byte, error) { return nil, nil })
+	if err != nil {
+		b.Fatal(err)
+	}
+	portID, _ := srv.PortOf(pc)
+	cli, err := k.NewSession([]byte("abi-cli"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ch, err := cli.Open(portID)
+	if err != nil {
+		b.Fatal(err)
+	}
 	arg := make([]byte, 64)
-	b.Run("single", func(b *testing.B) {
-		cli, ch := abiWorld(b, kernel.Options{})
-		m := &kernel.Msg{Op: "read", Obj: "obj", Args: [][]byte{arg}}
+	m := &kernel.Msg{Op: "read", Obj: "obj", Args: [][]byte{arg}}
+	// Warm the decision cache so the measured paths are the steady state.
+	if _, err := cli.Call(ch, m); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("call/single", func(b *testing.B) {
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := cli.Call(ch, m); err != nil {
 				b.Fatal(err)
@@ -75,21 +62,15 @@ func BenchmarkBatchedIPC(b *testing.B) {
 		}
 	})
 	for _, depth := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("batch%d", depth), func(b *testing.B) {
-			cli, ch := abiWorld(b, kernel.Options{})
-			subs := make([]kernel.Sub, depth)
-			for i := range subs {
-				subs[i] = kernel.Sub{Cap: ch, Op: "read", Obj: "obj", Args: [][]byte{arg}}
-			}
-			comps := make([]kernel.Completion, 0, depth)
+		subs := make([]kernel.Sub, depth)
+		for i := range subs {
+			subs[i] = kernel.Sub{Cap: ch, Op: "read", Obj: "obj", Args: [][]byte{arg}}
+		}
+		comps := make([]kernel.Completion, 0, depth)
+		b.Run(fmt.Sprintf("submit/batch%d", depth), func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for done := 0; done < b.N; done += depth {
-				n := depth
-				if rem := b.N - done; rem < n {
-					n = rem
-				}
-				out, err := cli.Submit(nil, subs[:n], comps)
+				out, err := cli.Submit(nil, subs[:min(depth, b.N-done)], comps)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -138,11 +119,7 @@ func BenchmarkBatchedSyscall(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for done := 0; done < b.N; done += 64 {
-			n := 64
-			if rem := b.N - done; rem < n {
-				n = rem
-			}
-			if _, err := s.Submit(nil, subs[:n], comps); err != nil {
+			if _, err := s.Submit(nil, subs[:min(64, b.N-done)], comps); err != nil {
 				b.Fatal(err)
 			}
 		}

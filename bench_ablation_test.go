@@ -10,7 +10,6 @@ package nexus
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/kernel"
@@ -44,35 +43,20 @@ func BenchmarkAblation_DCacheRegions(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_GuardProofCache compares repeat guard evaluations with
-// and without the §2.9 proof cache, on a proof large enough for the
-// structural check to matter.
+// BenchmarkAblation_GuardProofCache measures repeat guard evaluations with
+// the §2.9 proof cache on, on a proof large enough for the structural
+// check to matter. The same call with the cache off is
+// BenchmarkFig5/delegate/rules=16/full.
 func BenchmarkAblation_GuardProofCache(b *testing.B) {
-	for _, cached := range []bool{true, false} {
-		name := "on"
-		if !cached {
-			name = "off"
+	w := newFig4World(b, false) // kernel decision cache off
+	pf, goal, creds := fig5Proof("delegate", 16)
+	w.setGoal(goal)
+	w.setProof(pf, inline(creds)...)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.call(); err != nil {
+			b.Fatal(err)
 		}
-		b.Run("proofcache="+name, func(b *testing.B) {
-			w := newFig4World(b, false) // kernel decision cache off
-			if !cached {
-				w.g.SetCacheSize(0)
-			}
-			pf, goal, creds := fig5Proof("delegate", 16)
-			srv := w.port.Owner
-			w.k.SetGoal(srv, "read", "obj", goal, nil)
-			var kcreds []kernel.Credential
-			for _, c := range creds {
-				kcreds = append(kcreds, kernel.Credential{Inline: c})
-			}
-			w.k.SetProof(w.cli, "read", "obj", pf, kcreds)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.call(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -107,25 +91,6 @@ func BenchmarkAblation_MerkleRegion(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblation_ProofTextRoundTrip measures the externalized proof
-// format, the cost of shipping proofs between machines as text.
-func BenchmarkAblation_ProofTextRoundTrip(b *testing.B) {
-	pf, goal, creds := fig5Proof("delegate", 12)
-	text := pf.String()
-	env := &proof.Env{Credentials: creds}
-	b.Run("parse+check", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p, err := proof.Parse(text)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := proof.Check(p, goal, env); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblation_Derive measures client-side proof construction, which
@@ -168,125 +133,6 @@ func BenchmarkAblation_SayVsParse(b *testing.B) {
 	b.Run("say-full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := p.Labels.Say(stmt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblation_ProofPipeline isolates the compiled-pipeline stages on
-// a 12-rule delegation proof, the scoreboard for the hash-consed DAG work:
-//
-//	text/warm       repeat text arrives: parse-cache hit + compiled check
-//	text/novel      unseen text, known structure: full parse + compile
-//	check/memo      compiled check, subproof memo warm
-//	check/nomemo    compiled check, memo disabled (pure ID-equality walk)
-//	check/text      the structural reference checker (the seed's path)
-//	compile         Compile alone on a parsed proof
-func BenchmarkAblation_ProofPipeline(b *testing.B) {
-	pf, goal, creds := fig5Proof("delegate", 12)
-	text := pf.String()
-	env := &proof.Env{Credentials: creds}
-
-	b.Run("text/warm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p, err := proof.Parse(text)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := proof.Check(p, goal, env); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("text/novel", func(b *testing.B) {
-		// A unique trailing spacer line defeats the parse cache without
-		// changing the proof, so every iteration pays lex + compile (against
-		// an already-populated cons table: the "known structure" miss).
-		texts := make([]string, b.N)
-		for i := range texts {
-			texts[i] = text + strings.Repeat(" ", i%256) + "\n" + fmt.Sprint(i) + ". true-i : true"
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p, err := proof.Parse(texts[i])
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := proof.Check(p, p.Conclusion(), env); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	c, err := pf.Compiled()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("check/memo", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Check(goal, env); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("check/nomemo", func(b *testing.B) {
-		proof.SetMemoEnabled(false)
-		defer proof.SetMemoEnabled(true)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Check(goal, env); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("check/text", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := proof.CheckStructural(pf, goal, env); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("compile", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := proof.Compile(pf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// Subproof-heavy shape — the memo's target: one imp-i step carrying a
-	// 64-step hypothetical frame. A memo hit skips the whole frame.
-	hyp := nal.MustParse("a")
-	sub := []proof.Step{{Rule: proof.RuleTrueI, F: nal.TrueF{}}}
-	cur := nal.Formula(nal.And{L: hyp, R: nal.TrueF{}})
-	sub = append(sub, proof.Step{Rule: proof.RuleAndI, Premises: []int{-1, 0}, F: cur})
-	for i := 0; i < 62; i++ {
-		cur = nal.And{L: hyp, R: cur}
-		sub = append(sub, proof.Step{Rule: proof.RuleAndI, Premises: []int{-1, len(sub) - 1}, F: cur})
-	}
-	sgoal := nal.Formula(nal.Implies{L: hyp, R: cur})
-	spf := &proof.Proof{Steps: []proof.Step{{
-		Rule: proof.RuleImpI, F: sgoal,
-		Sub: []proof.Subproof{{Hyp: hyp, Steps: sub}},
-	}}}
-	sc, err := spf.Compiled()
-	if err != nil {
-		b.Fatal(err)
-	}
-	senv := &proof.Env{}
-	b.Run("subframe/memo", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sc.Check(sgoal, senv); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("subframe/nomemo", func(b *testing.B) {
-		proof.SetMemoEnabled(false)
-		defer proof.SetMemoEnabled(true)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sc.Check(sgoal, senv); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,9 +1,8 @@
 // Multi-core scaling benchmarks for the authorization fast path. The
 // paper's caches (§2.8–§2.9) exist to take authorization off the hot path;
 // these benchmarks show the sharded implementations actually scale with
-// cores. Run with -cpu=1,4 to observe the parallel speedup, e.g.
-//
-//	go test -run=XXX -bench=Parallel -cpu=1,4 .
+// cores. `make bench-parallel` runs them at GOMAXPROCS 1, 2, 4 and 8 and
+// prints one row per GOMAXPROCS in operations per second.
 package nexus
 
 import (
@@ -17,11 +16,21 @@ import (
 	"repro/internal/nal/proof"
 )
 
-// BenchmarkParallelGuard hammers one guard.Generic with a warm proof cache
+// BenchmarkParallel is the scaling exhibit: each column is one fast path
+// driven from GOMAXPROCS goroutines, in operations per second.
+func BenchmarkParallel(b *testing.B) {
+	b.Run("guard", parallelGuard)
+	b.Run("syscall", parallelSyscall(kernel.Options{}))
+	b.Run("syscall-bare", parallelSyscall(kernel.Options{NoInterposition: true, NoAuthorization: true}))
+	b.Run("ipc", parallelIPC)
+	b.Run("dcache", parallelDCache)
+}
+
+// parallelGuard hammers one guard.Generic with a warm proof cache
 // from GOMAXPROCS goroutines, spread over many distinct (goal, proof)
 // combinations the way many clients would be. Every check re-instantiates
 // the goal, derives the canonical cache key, and hits a proof-cache shard.
-func BenchmarkParallelGuard(b *testing.B) {
+func parallelGuard(b *testing.B) {
 	k := benchKernel(b, kernel.Options{})
 	g := guard.New(k)
 	k.SetGuard(g)
@@ -71,55 +80,50 @@ func BenchmarkParallelGuard(b *testing.B) {
 			i++
 		}
 	})
+	perSecond(b, "ops/s")
 }
 
-// BenchmarkParallelSyscall is the end-to-end multi-core proof for the
-// dispatch pipeline: GOMAXPROCS goroutines, each its own process, issuing
-// null system calls with authorization on and the decision cache warm. With
-// no kernel-global lock on the path, the -cpu=4 line should approach the
-// -cpu=1 line's per-op cost (on multi-core hardware) instead of convoying.
-func BenchmarkParallelSyscall(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		opts kernel.Options
-	}{
-		{"standard", kernel.Options{}},
-		{"bare", kernel.Options{NoInterposition: true, NoAuthorization: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			k := benchKernel(b, cfg.opts)
-			const nprocs = 16
-			procs := make([]*kernel.Process, nprocs)
-			for i := range procs {
-				p, err := k.CreateProcess(0, []byte(fmt.Sprintf("bench%d", i)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := p.Null(); err != nil { // warm the decision cache
-					b.Fatal(err)
-				}
-				procs[i] = p
+// parallelSyscall is the end-to-end multi-core proof for the dispatch
+// pipeline: GOMAXPROCS goroutines, each its own process, issuing null
+// system calls (with authorization on and the decision cache warm, unless
+// opts turn both off). With no kernel-global lock on the path, the rate
+// should grow with GOMAXPROCS (on multi-core hardware) instead of
+// convoying.
+func parallelSyscall(opts kernel.Options) func(b *testing.B) {
+	return func(b *testing.B) {
+		k := benchKernel(b, opts)
+		const nprocs = 16
+		procs := make([]*kernel.Process, nprocs)
+		for i := range procs {
+			p, err := k.CreateProcess(0, []byte(fmt.Sprintf("bench%d", i)))
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var next atomic.Int64
-			b.RunParallel(func(pb *testing.PB) {
-				p := procs[int(next.Add(1))%nprocs]
-				for pb.Next() {
-					if err := p.Null(); err != nil {
-						b.Error(err)
-						return
-					}
+			if err := p.Null(); err != nil { // warm the decision cache
+				b.Fatal(err)
+			}
+			procs[i] = p
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var next atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			p := procs[int(next.Add(1))%nprocs]
+			for pb.Next() {
+				if err := p.Null(); err != nil {
+					b.Error(err)
+					return
 				}
-			})
+			}
 		})
+		perSecond(b, "ops/s")
 	}
 }
 
-// BenchmarkParallelIPC drives the same pipeline through Kernel.Call: many
+// parallelIPC drives the same pipeline through Kernel.Call: many
 // client processes against one server port, decision cache warm, channel
 // enforcement on so the capability check is also on the measured path.
-func BenchmarkParallelIPC(b *testing.B) {
+func parallelIPC(b *testing.B) {
 	k := benchKernel(b, kernel.Options{})
 	k.EnforceChannels(true)
 	srv, err := k.CreateProcess(0, []byte("srv"))
@@ -173,12 +177,13 @@ func BenchmarkParallelIPC(b *testing.B) {
 			i++
 		}
 	})
+	perSecond(b, "ops/s")
 }
 
-// BenchmarkParallelDCache measures raw decision-cache throughput: a warm
+// parallelDCache measures raw decision-cache throughput: a warm
 // cache probed from GOMAXPROCS goroutines with an occasional insert, the
 // kernel's per-syscall fast path.
-func BenchmarkParallelDCache(b *testing.B) {
+func parallelDCache(b *testing.B) {
 	c := kernel.NewDecisionCache(64)
 	const objs = 128
 	subj := "key:fp.boot.ipd.1"
@@ -202,4 +207,5 @@ func BenchmarkParallelDCache(b *testing.B) {
 			i++
 		}
 	})
+	perSecond(b, "ops/s")
 }

@@ -1,13 +1,23 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (§5). Each family corresponds to one exhibit; cmd/experiments runs the
-// same code paths and prints rows in the paper's format.
+// (§5), one top-level benchmark per exhibit. The last element of each
+// sub-benchmark name is the exhibit's column and the rest is its row, so
 //
-//	BenchmarkTable1_*  system call overhead (Nexus bare / Nexus / monolith)
-//	BenchmarkFig4_*    authorization cost by case, ± kernel decision cache
-//	BenchmarkFig5_*    proof evaluation cost vs number of rules
-//	BenchmarkFig6_*    control-operation overhead, system vs crypto labels
-//	BenchmarkFig7_*    interpositioning overhead on a UDP echo path
-//	BenchmarkFig8_*    Fauxbook throughput vs filesize under each mechanism
+//	go test -run '^$' -bench 'Table1|Fig' -benchmem . | go run ./cmd/experiments
+//
+// prints each exhibit as a table. Absolute numbers are wall-clock time on
+// the simulation rather than cycles on the authors' testbed; the shapes
+// (ratios, cache effects, crossovers) are the reproduction target.
+//
+//	BenchmarkTable1  system call overhead (Nexus bare / Nexus / monolith)
+//	BenchmarkFig4    authorization cost by case, ± kernel decision cache
+//	BenchmarkFig5    proof evaluation cost vs number of rules
+//	BenchmarkFig6    control-operation overhead, system vs crypto labels
+//	BenchmarkFig7    interpositioning overhead on a UDP echo path (pkt/s)
+//	BenchmarkFig8    Fauxbook throughput vs filesize per mechanism (req/s)
+//
+// The recorded trajectories are BenchmarkNet, BenchmarkABI, BenchmarkProof
+// and BenchmarkLedger (internal/ledger): `make bench-json` runs them and
+// cmd/experiments writes their BENCH_<group>.json files.
 package nexus
 
 import (
@@ -27,16 +37,6 @@ import (
 	"repro/internal/tpm"
 )
 
-// mustFS launches a file service for benchmarking.
-func mustFS(b *testing.B, k *kernel.Kernel) *fsys.Server {
-	b.Helper()
-	fs, err := fsys.New(k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return fs
-}
-
 // benchKernel boots a kernel for benchmarking, failing the benchmark on
 // error.
 func benchKernel(b *testing.B, opts kernel.Options) *kernel.Kernel {
@@ -55,40 +55,46 @@ func benchKernel(b *testing.B, opts kernel.Options) *kernel.Kernel {
 	return k
 }
 
-// ---------------------------------------------------------------- Table 1
-
-func BenchmarkTable1_Nexus(b *testing.B) {
-	for _, bare := range []bool{true, false} {
-		name := "standard"
-		if bare {
-			name = "bare"
+// loop runs fn b.N times as the sub-benchmark name.
+func loop(b *testing.B, name string, fn func() error) {
+	b.Run(name, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := fn(); err != nil {
+				b.Fatal(err)
+			}
 		}
-		k := benchKernel(b, kernel.Options{NoInterposition: bare, NoAuthorization: true})
-		p, _ := k.CreateProcess(0, []byte("bench"))
-		b.Run("null/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p.Null()
-			}
-		})
-		b.Run("getppid/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p.GetPPID()
-			}
-		})
-		b.Run("gettimeofday/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p.GetTimeOfDay()
-			}
-		})
-		b.Run("yield/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p.Yield()
-			}
-		})
-	}
+	})
 }
 
-func BenchmarkTable1_NullBlocked(b *testing.B) {
+// perSecond reports the benchmark's operation rate in unit.
+func perSecond(b *testing.B, unit string) {
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), unit)
+}
+
+// inline wraps formulas as inline credentials.
+func inline(fs []nal.Formula) []kernel.Credential {
+	creds := make([]kernel.Credential, len(fs))
+	for i, f := range fs {
+		creds[i] = kernel.Credential{Inline: f}
+	}
+	return creds
+}
+
+// ---------------------------------------------------------------- Table 1
+
+// BenchmarkTable1 is Table 1: rows are calls; columns are Nexus with
+// interpositioning off (bare) and on (nexus), the null call denied by an
+// interposed monitor (blocked), and the monolithic baseline (monolith).
+func BenchmarkTable1(b *testing.B) {
+	for _, col := range []string{"bare", "nexus"} {
+		k := benchKernel(b, kernel.Options{NoInterposition: col == "bare", NoAuthorization: true})
+		p, _ := k.CreateProcess(0, []byte("bench"))
+		loop(b, "null/"+col, p.Null)
+		loop(b, "getppid/"+col, func() error { _, err := p.GetPPID(); return err })
+		loop(b, "gettimeofday/"+col, func() error { _, err := p.GetTimeOfDay(); return err })
+		loop(b, "yield/"+col, p.Yield)
+	}
+
 	k := benchKernel(b, kernel.Options{NoAuthorization: true})
 	p, _ := k.CreateProcess(0, []byte("bench"))
 	mon, _ := k.CreateProcess(0, []byte("mon"))
@@ -97,40 +103,56 @@ func BenchmarkTable1_NullBlocked(b *testing.B) {
 			return kernel.VerdictBlock
 		},
 	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Null()
-	}
-}
+	loop(b, "null/blocked", func() error { p.Null(); return nil })
 
-func benchNexusFiles(b *testing.B, bare bool) {
-	name := "standard"
-	if bare {
-		name = "bare"
+	m := monolith.New()
+	pid := m.Spawn(1)
+	loop(b, "null/monolith", func() error { m.Null(); return nil })
+	loop(b, "getppid/monolith", func() error { m.GetPPID(pid); return nil })
+	loop(b, "gettimeofday/monolith", func() error { m.GetTimeOfDay(); return nil })
+	loop(b, "yield/monolith", func() error { m.Yield(); return nil })
+
+	// File operations: the user-level file server over IPC vs in-kernel.
+	k = benchKernel(b, kernel.Options{NoAuthorization: true})
+	k.SetGuard(guard.New(k))
+	fs, err := fsys.New(k)
+	if err != nil {
+		b.Fatal(err)
 	}
-	k := benchKernel(b, kernel.Options{NoInterposition: bare, NoAuthorization: true})
-	g := guard.New(k)
-	k.SetGuard(g)
-	fs := mustFS(b, k)
 	app, _ := k.NewSession([]byte("bench"))
 	c, err := fs.ClientFor(app)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := c.Create("/bench"); err != nil {
+	benchFiles(b, "nexus", c)
+	benchFiles(b, "monolith", m)
+}
+
+// fileOps is the file half of Table 1.
+type fileOps interface {
+	Create(path string) error
+	Open(path string) (int, error)
+	Close(fd int) error
+	Read(fd, n int) ([]byte, error)
+	Write(fd int, data []byte) (int, error)
+}
+
+// benchFiles measures open, close, read and write on /bench through f as
+// Table 1 column col.
+func benchFiles(b *testing.B, col string, f fileOps) {
+	if err := f.Create("/bench"); err != nil {
 		b.Fatal(err)
 	}
-	fd, _ := c.Open("/bench")
-	c.Write(fd, []byte("seed data for read benchmark"))
-	c.Close(fd)
+	fd, _ := f.Open("/bench")
+	f.Write(fd, []byte("seed data for read benchmark"))
+	f.Close(fd)
 
-	b.Run("open/"+name, func(b *testing.B) {
+	b.Run("open/"+col, func(b *testing.B) {
 		// Descriptors accumulate and are released outside the timer;
 		// per-iteration StopTimer would dominate wall-clock time.
 		fds := make([]int, 0, b.N)
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fd, err := c.Open("/bench")
+			fd, err := f.Open("/bench")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -138,100 +160,23 @@ func benchNexusFiles(b *testing.B, bare bool) {
 		}
 		b.StopTimer()
 		for _, fd := range fds {
-			c.Close(fd)
+			f.Close(fd)
 		}
 	})
-	b.Run("close/"+name, func(b *testing.B) {
+	b.Run("close/"+col, func(b *testing.B) {
 		fds := make([]int, b.N)
 		for i := range fds {
-			fds[i], _ = c.Open("/bench")
+			fds[i], _ = f.Open("/bench")
 		}
 		b.ResetTimer()
 		for _, fd := range fds {
-			c.Close(fd)
+			f.Close(fd)
 		}
 	})
-	fd, _ = c.Open("/bench")
-	b.Run("read/"+name, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Read(fd, 16); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("write/"+name, func(b *testing.B) {
-		buf := []byte("0123456789abcdef")
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Write(fd, buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkTable1_NexusFiles(b *testing.B) {
-	benchNexusFiles(b, false)
-}
-
-func BenchmarkTable1_Monolith(b *testing.B) {
-	m := monolith.New()
-	pid := m.Spawn(1)
-	m.Create("/bench")
-	fd, _ := m.Open("/bench")
-	m.Write(fd, []byte("seed data for read benchmark"))
-	b.Run("null", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.Null()
-		}
-	})
-	b.Run("getppid", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.GetPPID(pid)
-		}
-	})
-	b.Run("gettimeofday", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.GetTimeOfDay()
-		}
-	})
-	b.Run("yield", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.Yield()
-		}
-	})
-	b.Run("open", func(b *testing.B) {
-		fds := make([]int, 0, b.N)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fd, _ := m.Open("/bench")
-			fds = append(fds, fd)
-		}
-		b.StopTimer()
-		for _, fd := range fds {
-			m.Close(fd)
-		}
-	})
-	b.Run("close", func(b *testing.B) {
-		fds := make([]int, b.N)
-		for i := range fds {
-			fds[i], _ = m.Open("/bench")
-		}
-		b.ResetTimer()
-		for _, fd := range fds {
-			m.Close(fd)
-		}
-	})
-	b.Run("read", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.Read(fd, 16)
-		}
-	})
-	b.Run("write", func(b *testing.B) {
-		buf := []byte("0123456789abcdef")
-		for i := 0; i < b.N; i++ {
-			m.Write(fd, buf)
-		}
-	})
+	fd, _ = f.Open("/bench")
+	buf := []byte("0123456789abcdef")
+	loop(b, "read/"+col, func() error { _, err := f.Read(fd, 16); return err })
+	loop(b, "write/"+col, func() error { _, err := f.Write(fd, buf); return err })
 }
 
 // ---------------------------------------------------------------- Figure 4
@@ -266,112 +211,67 @@ func (w *fig4World) call() error {
 	return err
 }
 
+func (w *fig4World) setGoal(f nal.Formula) { w.k.SetGoal(w.port.Owner, "read", "obj", f, nil) }
+
+func (w *fig4World) setProof(pf *proof.Proof, creds ...kernel.Credential) {
+	w.k.SetProof(w.cli, "read", "obj", pf, creds)
+}
+
+// BenchmarkFig4 is Figure 4: rows are the guard's decision cases, columns
+// the kernel decision cache on and off.
 func BenchmarkFig4(b *testing.B) {
-	for _, cache := range []bool{true, false} {
-		suffix := "/cache"
-		if !cache {
-			suffix = "/nocache"
-		}
-		b.Run("syscall"+suffix, func(b *testing.B) {
-			w := newFig4World(b, cache)
-			w.k.SetAuthorization(false)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.call()
-			}
-		})
-		b.Run("nogoal"+suffix, func(b *testing.B) {
-			w := newFig4World(b, cache)
-			w.k.SetGoal(w.port.Owner, "read", "obj", nal.TrueF{}, nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.call()
-			}
-		})
-		b.Run("noproof"+suffix, func(b *testing.B) {
-			w := newFig4World(b, cache)
-			srv := w.port.Owner
-			w.k.SetGoal(srv, "read", "obj", nal.MustParse("?S says wantsAccess"), nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.call()
-			}
-		})
-		b.Run("notsound"+suffix, func(b *testing.B) {
-			w := newFig4World(b, cache)
-			srv := w.port.Owner
-			w.k.SetGoal(srv, "read", "obj", nal.MustParse("?S says wantsAccess"), nil)
+	wants := nal.MustParse("?S says wantsAccess")
+	clock := nal.MustParse("Clock says ok")
+	cases := []struct {
+		name  string
+		deny  bool
+		setup func(w *fig4World)
+	}{
+		{"syscall", false, func(w *fig4World) { w.k.SetAuthorization(false) }},
+		{"nogoal", false, func(w *fig4World) { w.setGoal(nal.TrueF{}) }},
+		{"noproof", true, func(w *fig4World) { w.setGoal(wants) }},
+		{"notsound", true, func(w *fig4World) {
+			w.setGoal(wants)
 			bad := nal.MustParse("Other says wantsAccess")
-			w.k.SetProof(w.cli, "read", "obj", proof.Assume(0, bad),
-				[]kernel.Credential{{Inline: bad}})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.call()
-			}
-		})
-		b.Run("pass"+suffix, func(b *testing.B) {
-			w := newFig4World(b, cache)
-			srv := w.port.Owner
-			w.k.SetGoal(srv, "read", "obj", nal.MustParse("?S says wantsAccess"), nil)
+			w.setProof(proof.Assume(0, bad), kernel.Credential{Inline: bad})
+		}},
+		{"pass", false, func(w *fig4World) {
+			w.setGoal(wants)
 			cred := nal.Says{P: w.cli.Prin, F: nal.Pred{Name: "wantsAccess"}}
-			w.k.SetProof(w.cli, "read", "obj", proof.Assume(0, cred),
-				[]kernel.Credential{{Inline: cred}})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.call(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("nocred"+suffix, func(b *testing.B) {
+			w.setProof(proof.Assume(0, cred), kernel.Credential{Inline: cred})
+		}},
+		{"nocred", false, func(w *fig4World) {
 			// Credential by labelstore reference: fetched per check.
-			w := newFig4World(b, cache)
-			srv := w.port.Owner
-			w.k.SetGoal(srv, "read", "obj", nal.MustParse("?S says wantsAccess"), nil)
+			w.setGoal(wants)
 			l, _ := w.cli.Labels.Say("wantsAccess")
-			w.k.SetProof(w.cli, "read", "obj", proof.Assume(0, l.Formula),
-				[]kernel.Credential{{Ref: &kernel.LabelRef{PID: w.cli.PID, Handle: l.Handle}}})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.call(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("embedauth"+suffix, func(b *testing.B) {
-			w := newFig4World(b, cache)
-			srv := w.port.Owner
-			goal := nal.MustParse("Clock says ok")
-			w.k.SetGoal(srv, "read", "obj", goal, nil)
+			w.setProof(proof.Assume(0, l.Formula),
+				kernel.Credential{Ref: &kernel.LabelRef{PID: w.cli.PID, Handle: l.Handle}})
+		}},
+		{"embedauth", false, func(w *fig4World) {
+			w.setGoal(clock)
 			ch := w.g.RegisterEmbedded("clock", func(nal.Formula) bool { return true })
-			pf := &proof.Proof{Steps: []proof.Step{{Rule: proof.RuleAuthority, Channel: ch, F: goal}}}
-			w.k.SetProof(w.cli, "read", "obj", pf, nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.call(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("auth"+suffix, func(b *testing.B) {
-			w := newFig4World(b, cache)
-			srv := w.port.Owner
-			goal := nal.MustParse("Clock says ok")
-			w.k.SetGoal(srv, "read", "obj", goal, nil)
+			w.setProof(&proof.Proof{Steps: []proof.Step{{Rule: proof.RuleAuthority, Channel: ch, F: clock}}})
+		}},
+		{"auth", false, func(w *fig4World) {
+			w.setGoal(clock)
 			ap, _ := w.k.CreateProcess(0, []byte("authority"))
-			a, err := w.k.RegisterAuthority(ap, func(nal.Formula) bool { return true })
-			if err != nil {
-				b.Fatal(err)
-			}
-			pf := &proof.Proof{Steps: []proof.Step{{Rule: proof.RuleAuthority, Channel: a.Channel(), F: goal}}}
-			w.k.SetProof(w.cli, "read", "obj", pf, nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.call(); err != nil {
-					b.Fatal(err)
+			a, _ := w.k.RegisterAuthority(ap, func(nal.Formula) bool { return true })
+			w.setProof(&proof.Proof{Steps: []proof.Step{{Rule: proof.RuleAuthority, Channel: a.Channel(), F: clock}}})
+		}},
+	}
+	for _, col := range []string{"cache", "nocache"} {
+		for _, c := range cases {
+			b.Run(c.name+"/"+col, func(b *testing.B) {
+				w := newFig4World(b, col == "cache")
+				c.setup(w)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := w.call(); (err != nil) != c.deny {
+						b.Fatalf("deny=%v, got err %v", c.deny, err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -431,55 +331,35 @@ func fig5Proof(family string, n int) (*proof.Proof, nal.Formula, []nal.Formula) 
 	}
 }
 
-func BenchmarkFig5_EvalOnly(b *testing.B) {
+// BenchmarkFig5 is Figure 5: rows are proof families by number of rules;
+// columns are the proof check alone (eval) and the full guarded call
+// (full), run with the kernel decision cache off and the guard's proof
+// cache sized to zero so every call re-evaluates the proof.
+func BenchmarkFig5(b *testing.B) {
 	for _, family := range []string{"delegate", "negate", "boolean"} {
-		for _, n := range []int{1, 5, 10, 20} {
+		for _, n := range []int{1, 2, 4, 8, 12, 16, 20} {
 			pf, goal, creds := fig5Proof(family, n)
 			env := &proof.Env{Credentials: creds}
-			b.Run(fmt.Sprintf("%s/rules=%d", family, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := proof.Check(pf, goal, env); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkFig5_Full(b *testing.B) {
-	// Full path: guard invocation with the kernel decision cache disabled,
-	// so every call re-evaluates the proof (and the guard's own proof
-	// cache is bypassed by sizing it to zero).
-	for _, family := range []string{"delegate", "negate", "boolean"} {
-		for _, n := range []int{1, 5, 10, 20} {
-			pf, goal, creds := fig5Proof(family, n)
+			row := fmt.Sprintf("%s/rules=%d/", family, n)
+			loop(b, row+"eval", func() error { _, err := proof.Check(pf, goal, env); return err })
 			w := newFig4World(b, false)
 			w.g.SetCacheSize(0)
-			srv := w.port.Owner
-			w.k.SetGoal(srv, "read", "obj", goal, nil)
-			var kcreds []kernel.Credential
-			for _, c := range creds {
-				kcreds = append(kcreds, kernel.Credential{Inline: c})
-			}
-			w.k.SetProof(w.cli, "read", "obj", pf, kcreds)
-			b.Run(fmt.Sprintf("%s/rules=%d", family, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := w.call(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			w.setGoal(goal)
+			w.setProof(pf, inline(creds)...)
+			loop(b, row+"full", w.call)
 		}
 	}
 }
 
 // ---------------------------------------------------------------- Figure 6
 
-func BenchmarkFig6_ControlOps(b *testing.B) {
+// BenchmarkFig6 is Figure 6: rows are the objects of control operations,
+// columns the operations. cred/pid adds a system-backed label; cred/key
+// externalizes it as a signed certificate and imports it back (the
+// paper's three-orders-of-magnitude path), cred/verify only imports.
+func BenchmarkFig6(b *testing.B) {
 	k := benchKernel(b, kernel.Options{})
-	g := guard.New(k)
-	k.SetGuard(g)
+	k.SetGuard(guard.New(k))
 	srv, _ := k.CreateProcess(0, []byte("srv"))
 	cli, _ := k.CreateProcess(0, []byte("cli"))
 	ap, _ := k.CreateProcess(0, []byte("authority"))
@@ -487,84 +367,40 @@ func BenchmarkFig6_ControlOps(b *testing.B) {
 	cred := nal.Says{P: cli.Prin, F: nal.Pred{Name: "wantsAccess"}}
 	pf := proof.Assume(0, cred)
 
-	b.Run("authadd", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := k.RegisterAuthority(ap, func(nal.Formula) bool { return true }); err != nil {
-				b.Fatal(err)
-			}
-		}
+	loop(b, "auth/add", func() error {
+		_, err := k.RegisterAuthority(ap, func(nal.Formula) bool { return true })
+		return err
 	})
-	b.Run("goalset", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			k.SetGoal(srv, "read", "obj", goal, nil)
-		}
+	loop(b, "goal/set", func() error { return k.SetGoal(srv, "read", "obj", goal, nil) })
+	loop(b, "goal/clr", func() error { k.ClearGoal(srv, "read", "obj"); return nil })
+	loop(b, "proof/set", func() error {
+		k.SetProof(cli, "read", "obj", pf, []kernel.Credential{{Inline: cred}})
+		return nil
 	})
-	b.Run("goalclr", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			k.ClearGoal(srv, "read", "obj")
-		}
-	})
-	b.Run("proofset", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			k.SetProof(cli, "read", "obj", pf, []kernel.Credential{{Inline: cred}})
-		}
-	})
-	b.Run("proofclr", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			k.ClearProof(cli, "read", "obj")
-		}
-	})
+	loop(b, "proof/clr", func() error { k.ClearProof(cli, "read", "obj"); return nil })
 	// cred add: a system-backed label insertion must parse and attribute
 	// the statement (the most expensive non-crypto control op).
-	b.Run("credadd", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cli.Labels.Say("wantsAccess(\"obj\")"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkFig6_CredPIDvsKey(b *testing.B) {
-	k := benchKernel(b, kernel.Options{})
-	cli, _ := k.CreateProcess(0, []byte("cli"))
-	b.Run("credpid", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cli.Labels.Say("isTypeSafe(hash:ab12)"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("credkey", func(b *testing.B) {
-		// Cryptographically signed label: externalize (RSA sign by NK)
-		// then import (verify) — the three-orders-of-magnitude path.
-		l, _ := cli.Labels.Say("isTypeSafe(hash:ab12)")
-		for i := 0; i < b.N; i++ {
-			ext, err := cli.Labels.Externalize(l.Handle)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := cli.Labels.Import(ext); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("credkey/verifyonly", func(b *testing.B) {
-		l, _ := cli.Labels.Say("isTypeSafe(hash:ab12)")
+	loop(b, "cred/add", func() error { _, err := cli.Labels.Say(`wantsAccess("obj")`); return err })
+	loop(b, "cred/pid", func() error { _, err := cli.Labels.Say("isTypeSafe(hash:ab12)"); return err })
+	l, _ := cli.Labels.Say("isTypeSafe(hash:ab12)")
+	loop(b, "cred/key", func() error {
 		ext, err := cli.Labels.Externalize(l.Handle)
-		if err != nil {
-			b.Fatal(err)
+		if err == nil {
+			_, err = cli.Labels.Import(ext)
 		}
-		for i := 0; i < b.N; i++ {
-			if _, err := cli.Labels.Import(ext); err != nil {
-				b.Fatal(err)
-			}
-		}
+		return err
 	})
+	ext, err := cli.Labels.Externalize(l.Handle)
+	if err != nil {
+		b.Fatal(err)
+	}
+	loop(b, "cred/verify", func() error { _, err := cli.Labels.Import(ext); return err })
 }
 
 // ---------------------------------------------------------------- Figure 7
 
+// BenchmarkFig7 is Figure 7: rows are echo-path configurations, columns
+// frame sizes, in packets per second.
 func BenchmarkFig7(b *testing.B) {
 	cases := []struct {
 		name string
@@ -588,13 +424,13 @@ func BenchmarkFig7(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.SetBytes(int64(size))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := e.Process(frame); err != nil {
 						b.Fatal(err)
 					}
 				}
+				perSecond(b, "pkt/s")
 			})
 		}
 	}
@@ -602,8 +438,56 @@ func BenchmarkFig7(b *testing.B) {
 
 // ---------------------------------------------------------------- Figure 8
 
-// fig8Sizes are the request sizes swept on the x axis.
-var fig8Sizes = []int{100, 1 << 10, 10 << 10, 100 << 10, 1 << 20}
+// BenchmarkFig8 is Figure 8: rows are static files or the tenant
+// interpreter (python) under one mechanism — access control (static,
+// dynamic), a reference monitor in the kernel or in user space with or
+// without its cache, attested storage (hash, decrypt), or none — and
+// columns are file sizes, in requests per second.
+func BenchmarkFig8(b *testing.B) {
+	variants := []struct {
+		name string
+		cfg  fauxbook.StackConfig
+	}{
+		{"none", fauxbook.StackConfig{}},
+		{"static", fauxbook.StackConfig{Access: fauxbook.AccessStatic}},
+		{"dynamic", fauxbook.StackConfig{Access: fauxbook.AccessDynamic}},
+		{"kernel+cache", fauxbook.StackConfig{RefMon: fauxbook.StackRefKernel, RefMonCache: true}},
+		{"kernel-cache", fauxbook.StackConfig{RefMon: fauxbook.StackRefKernel}},
+		{"user+cache", fauxbook.StackConfig{RefMon: fauxbook.StackRefUser, RefMonCache: true}},
+		{"user-cache", fauxbook.StackConfig{RefMon: fauxbook.StackRefUser}},
+		{"hash", fauxbook.StackConfig{Storage: fauxbook.StoreHashed}},
+		{"decrypt", fauxbook.StackConfig{Storage: fauxbook.StoreEncrypted}},
+	}
+	sizes := []struct {
+		name string
+		n    int
+	}{{"100B", 100}, {"1kB", 1 << 10}, {"10kB", 10 << 10}, {"100kB", 100 << 10}, {"1MB", 1 << 20}}
+	for _, row := range []string{"static-files", "python"} {
+		for _, v := range variants {
+			cfg := v.cfg
+			cfg.Dynamic = row == "python"
+			for _, size := range sizes {
+				b.Run(row+"/"+v.name+"/"+size.name, func(b *testing.B) {
+					w := fig8Stack(b, cfg)
+					content := make([]byte, size.n)
+					for i := range content {
+						content[i] = byte('a' + i%26)
+					}
+					if err := w.PutFile("/doc", content); err != nil {
+						b.Fatal(err)
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := w.Request("/doc"); err != nil {
+							b.Fatal(err)
+						}
+					}
+					perSecond(b, "req/s")
+				})
+			}
+		}
+	}
+}
 
 func fig8Stack(b *testing.B, cfg fauxbook.StackConfig) *fauxbook.WebStack {
 	b.Helper()
@@ -627,88 +511,4 @@ func fig8Stack(b *testing.B, cfg fauxbook.StackConfig) *fauxbook.WebStack {
 		b.Fatal(err)
 	}
 	return w
-}
-
-func fig8Run(b *testing.B, cfg fauxbook.StackConfig, size int) {
-	w := fig8Stack(b, cfg)
-	content := make([]byte, size)
-	for i := range content {
-		content[i] = byte('a' + i%26)
-	}
-	if err := w.PutFile("/doc", content); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(size))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.Request("/doc"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig8_AccessControl(b *testing.B) {
-	for _, dyn := range []bool{false, true} {
-		row := "static-files"
-		if dyn {
-			row = "python"
-		}
-		for _, ac := range []struct {
-			name string
-			mode fauxbook.AccessMode
-		}{{"none", fauxbook.AccessNone}, {"static", fauxbook.AccessStatic}, {"dynamic", fauxbook.AccessDynamic}} {
-			for _, size := range fig8Sizes {
-				b.Run(fmt.Sprintf("%s/%s/%dB", row, ac.name, size), func(b *testing.B) {
-					fig8Run(b, fauxbook.StackConfig{Access: ac.mode, Dynamic: dyn}, size)
-				})
-			}
-		}
-	}
-}
-
-func BenchmarkFig8_RefMon(b *testing.B) {
-	cases := []struct {
-		name string
-		cfg  fauxbook.StackConfig
-	}{
-		{"none", fauxbook.StackConfig{}},
-		{"kernel+", fauxbook.StackConfig{RefMon: fauxbook.StackRefKernel, RefMonCache: true}},
-		{"kernel-", fauxbook.StackConfig{RefMon: fauxbook.StackRefKernel}},
-		{"user+", fauxbook.StackConfig{RefMon: fauxbook.StackRefUser, RefMonCache: true}},
-		{"user-", fauxbook.StackConfig{RefMon: fauxbook.StackRefUser}},
-	}
-	for _, dyn := range []bool{false, true} {
-		row := "static-files"
-		if dyn {
-			row = "python"
-		}
-		for _, c := range cases {
-			cfg := c.cfg
-			cfg.Dynamic = dyn
-			for _, size := range fig8Sizes {
-				b.Run(fmt.Sprintf("%s/%s/%dB", row, c.name, size), func(b *testing.B) {
-					fig8Run(b, cfg, size)
-				})
-			}
-		}
-	}
-}
-
-func BenchmarkFig8_Storage(b *testing.B) {
-	for _, dyn := range []bool{false, true} {
-		row := "static-files"
-		if dyn {
-			row = "python"
-		}
-		for _, st := range []struct {
-			name string
-			mode fauxbook.StorageMode
-		}{{"none", fauxbook.StorePlain}, {"hash", fauxbook.StoreHashed}, {"decrypt", fauxbook.StoreEncrypted}} {
-			for _, size := range fig8Sizes {
-				b.Run(fmt.Sprintf("%s/%s/%dB", row, st.name, size), func(b *testing.B) {
-					fig8Run(b, fauxbook.StackConfig{Storage: st.mode, Dynamic: dyn}, size)
-				})
-			}
-		}
-	}
 }

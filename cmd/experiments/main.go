@@ -1,636 +1,258 @@
-// Command experiments regenerates every table and figure of the paper's
-// evaluation section (§5) on the simulated platform, printing rows in the
-// paper's format. Absolute numbers are wall-clock nanoseconds on the
-// simulation rather than cycles on the authors' 2006 testbed; the shapes
-// (ratios, cache effects, crossovers) are the reproduction target.
+// Command experiments turns `go test -bench -benchmem` output, read on
+// standard input, into the recorded benchmark files and the paper's
+// tables. It runs nothing itself: every measurement is a benchmark in a
+// _test.go file.
 //
-// Usage:
+//	make bench-json
+//	go test -run '^$' -bench 'Table1|Fig' -benchmem . | go run ./cmd/experiments
 //
-//	experiments -exp table1|table2|fig4|fig5|fig6|fig7|fig8|scale|proof|abi|net|ledger|all [-quick]
+// Lines repeated by -count fold into one row per benchmark name and
+// GOMAXPROCS (the -N suffix go test prints), holding the median, min and
+// max of each unit, so -cpu sweeps stay distinct.
 //
-// -exp proof additionally writes BENCH_proof.json (ns/op and allocs/op for
-// the authorization miss path, memo-hit path, and compiled vs. text
-// proofs), the recorded perf trajectory of the proof pipeline.
+// The sub-benchmarks of BenchmarkNet, BenchmarkABI, BenchmarkProof and
+// BenchmarkLedger become the rows of BENCH_net.json, BENCH_abi.json,
+// BENCH_proof.json and BENCH_ledger.json in the current directory, under
+// the goos, goarch and cpu lines go test printed. Every other top-level
+// benchmark is printed as a table: a row is the name minus its last
+// element (plus -N when the table's rows ran at different GOMAXPROCS), a
+// column is that last element, and a cell is the median of the first
+// custom unit the benchmark reports, or of ns/op if it reports none.
+//
+// A line that is none of go test's header, result or summary lines is an
+// error, so a failed benchmark cannot drop a row silently.
 package main
 
 import (
-	"flag"
+	"bufio"
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
+	"path/filepath"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/disk"
-	"repro/internal/fauxbook"
-	"repro/internal/fsys"
-	"repro/internal/guard"
-	"repro/internal/kernel"
-	"repro/internal/monolith"
-	"repro/internal/nal"
-	"repro/internal/nal/proof"
-	"repro/internal/netdev"
-	"repro/internal/ssr"
-	"repro/internal/tpm"
+	"strconv"
+	"strings"
+	"text/tabwriter"
 )
 
-var quick = flag.Bool("quick", false, "fewer iterations for a fast pass")
+// groups maps each recorded top-level benchmark to its BENCH file.
+var groups = map[string]string{
+	"BenchmarkNet":    "BENCH_net.json",
+	"BenchmarkABI":    "BENCH_abi.json",
+	"BenchmarkProof":  "BENCH_proof.json",
+	"BenchmarkLedger": "BENCH_ledger.json",
+}
+
+// stat summarizes one unit of a row over its runs.
+type stat struct {
+	Median float64 `json:"median"`
+	Min    float64 `json:"min"`
+	Max    float64 `json:"max"`
+}
+
+// row is one benchmark name at one GOMAXPROCS, folded over its runs.
+type row struct {
+	Name  string          `json:"name"`
+	Procs int             `json:"procs"`
+	Runs  int             `json:"runs"`
+	Units map[string]stat `json:"units"`
+
+	path  []string             // name split at "/", top-level first
+	order []string             // units in the order go test printed them
+	vals  map[string][]float64 // every run's value, per unit
+}
+
+// benchFile is the schema of a BENCH_<group>.json file.
+type benchFile struct {
+	Goos   string `json:"goos"`
+	Goarch string `json:"goarch"`
+	CPU    string `json:"cpu"`
+	Rows   []*row `json:"rows"`
+}
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1, table2, fig4, fig5, fig6, fig7, fig8, scale, proof, abi, net, ledger, all)")
-	flag.Parse()
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		fmt.Printf("==== %s ====\n", name)
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Println()
+	if err := run(os.Stdin, os.Stdout, "."); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
 	}
-	run("table1", table1)
-	run("table2", table2)
-	run("fig4", fig4)
-	run("fig5", fig5)
-	run("fig6", fig6)
-	run("fig7", fig7)
-	run("fig8", fig8)
-	run("scale", scale)
-	run("proof", proofExp)
-	run("abi", abiExp)
-	run("net", netExp)
-	run("ledger", ledgerExp)
 }
 
-// iters scales iteration counts.
-func iters(n int) int {
-	if *quick {
-		n /= 10
-		if n < 10 {
-			n = 10
+// run converts the benchmark output on in, writing BENCH files into dir
+// and tables to out.
+func run(in io.Reader, out io.Writer, dir string) error {
+	files := map[string]*benchFile{}
+	var tables []*row
+	byKey := map[string]*row{}
+	header := map[string]string{}
+	sc := bufio.NewScanner(in)
+	for n := 1; sc.Scan(); n++ {
+		line := sc.Text()
+		f := strings.Fields(line)
+		if k, v, ok := strings.Cut(line, ": "); ok && (k == "goos" || k == "goarch" || k == "cpu" || k == "pkg") {
+			header[k] = v
+			continue
+		}
+		if len(f) == 0 || line == "PASS" || f[0] == "ok" {
+			continue
+		}
+		if !strings.HasPrefix(f[0], "Benchmark") || len(f) < 4 || len(f)%2 != 0 {
+			return fmt.Errorf("line %d: not a benchmark result: %q", n, line)
+		}
+		if _, err := strconv.Atoi(f[1]); err != nil {
+			return fmt.Errorf("line %d: iteration count: %v", n, err)
+		}
+		r := byKey[f[0]]
+		if r == nil {
+			r = newRow(f[0])
+			byKey[f[0]] = r
+			if name, ok := groups[r.path[0]]; ok {
+				bf := files[name]
+				if bf == nil {
+					bf = &benchFile{Goos: header["goos"], Goarch: header["goarch"], CPU: header["cpu"]}
+					files[name] = bf
+				}
+				r.Name = strings.Join(r.path[1:], "/")
+				bf.Rows = append(bf.Rows, r)
+			} else {
+				tables = append(tables, r)
+			}
+		}
+		r.Runs++
+		for i := 2; i < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return fmt.Errorf("line %d: %s: %v", n, f[i+1], err)
+			}
+			if r.vals[f[i+1]] == nil {
+				r.order = append(r.order, f[i+1])
+			}
+			r.vals[f[i+1]] = append(r.vals[f[i+1]], v)
 		}
 	}
-	return n
-}
-
-// medianNs measures fn's latency as the median over runs batches.
-func medianNs(runs, per int, fn func()) float64 {
-	samples := make([]float64, 0, runs)
-	for r := 0; r < runs; r++ {
-		start := time.Now()
-		for i := 0; i < per; i++ {
-			fn()
-		}
-		samples = append(samples, float64(time.Since(start).Nanoseconds())/float64(per))
-	}
-	sort.Float64s(samples)
-	return samples[len(samples)/2]
-}
-
-func mustKernel(opts kernel.Options) *kernel.Kernel {
-	t, err := tpm.Manufacture(1024)
-	if err != nil {
-		panic(err)
-	}
-	k, err := kernel.Boot(t, disk.New(), opts)
-	if err != nil {
-		panic(err)
-	}
-	// The decision audit log rides the authorize miss path (a mutex plus a
-	// SHA-256 per verdict); the paper reproductions measure the dispatch
-	// pipeline itself, so keep the recorded trajectories comparable across
-	// PRs by excluding it here. Production configurations leave it on.
-	k.Audit().Disable()
-	return k
-}
-
-// -------------------------------------------------------------- Table 1
-
-func table1() error {
-	n := iters(20000)
-	type row struct {
-		name             string
-		bare, std, linux float64
-	}
-	var rows []row
-
-	kBare := mustKernel(kernel.Options{NoInterposition: true, NoAuthorization: true})
-	pBare, _ := kBare.CreateProcess(0, []byte("bench"))
-	kStd := mustKernel(kernel.Options{NoAuthorization: true})
-	sStd, _ := kStd.NewSession([]byte("bench"))
-	m := monolith.New()
-	mpid := m.Spawn(1)
-
-	rows = append(rows,
-		row{"null",
-			medianNs(9, n, func() { pBare.Null() }),
-			medianNs(9, n, func() { sStd.Null() }),
-			-1},
-		row{"getppid",
-			medianNs(9, n, func() { pBare.GetPPID() }),
-			medianNs(9, n, func() { sStd.GetPPID() }),
-			medianNs(9, n, func() { m.GetPPID(mpid) })},
-		row{"gettimeofday",
-			medianNs(9, n, func() { pBare.GetTimeOfDay() }),
-			medianNs(9, n, func() { sStd.GetTimeOfDay() }),
-			medianNs(9, n, func() { m.GetTimeOfDay() })},
-		row{"yield",
-			medianNs(9, n, func() { pBare.Yield() }),
-			medianNs(9, n, func() { sStd.Yield() }),
-			medianNs(9, n, func() { m.Yield() })},
-	)
-
-	// File operations: Nexus standard (user-level FS over IPC) vs monolith.
-	fsrv, err := fsys.New(kStd)
-	if err != nil {
+	if err := sc.Err(); err != nil {
 		return err
 	}
-	c, err := fsrv.ClientFor(sStd)
-	if err != nil {
-		return err
+	for _, r := range byKey {
+		r.fold()
 	}
-	if err := c.Create("/bench"); err != nil {
-		return err
+	for name, bf := range files {
+		blob, err := json.MarshalIndent(bf, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), append(blob, '\n'), 0o644); err != nil {
+			return err
+		}
 	}
-	fd, _ := c.Open("/bench")
-	c.Write(fd, []byte("seed"))
-	m.Create("/bench")
-	mfd, _ := m.Open("/bench")
-	m.Write(mfd, []byte("seed"))
+	return printTables(out, tables)
+}
 
-	fileN := iters(4000)
-	rows = append(rows,
-		row{"open", -1,
-			medianNs(9, fileN, func() { fd, _ := c.Open("/bench"); c.Close(fd) }),
-			medianNs(9, fileN, func() { fd, _ := m.Open("/bench"); m.Close(fd) })},
-		row{"read", -1,
-			medianNs(9, fileN, func() { c.Read(fd, 4) }),
-			medianNs(9, fileN, func() { m.Read(mfd, 4) })},
-		row{"write", -1,
-			medianNs(9, fileN, func() { c.Write(fd, []byte("abcd")) }),
-			medianNs(9, fileN, func() { m.Write(mfd, []byte("abcd")) })},
-	)
+// newRow parses a benchmark name as go test prints it: a trailing -N is
+// GOMAXPROCS, absent when it is 1.
+func newRow(printed string) *row {
+	name, procs := printed, 1
+	if i := strings.LastIndexByte(name, '-'); i >= 0 {
+		if p, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], p
+		}
+	}
+	return &row{Name: name, Procs: procs, path: strings.Split(name, "/"), vals: map[string][]float64{}}
+}
 
-	fmt.Printf("%-14s %12s %12s %12s\n", "syscall", "Nexus bare", "Nexus", "monolith")
+// fold computes each unit's median, min and max over the runs.
+func (r *row) fold() {
+	r.Units = map[string]stat{}
+	for unit, vs := range r.vals {
+		sort.Float64s(vs)
+		m := len(vs) / 2
+		med := vs[m]
+		if len(vs)%2 == 0 {
+			med = (vs[m-1] + vs[m]) / 2
+		}
+		r.Units[unit] = stat{Median: med, Min: vs[0], Max: vs[len(vs)-1]}
+	}
+}
+
+// cell is the value a table shows for the row.
+func (r *row) cell() string {
+	unit := "ns/op"
+	for _, u := range r.order {
+		if u != "ns/op" && u != "B/op" && u != "allocs/op" {
+			unit = u
+			break
+		}
+	}
+	s, ok := r.Units[unit]
+	if !ok {
+		return "-"
+	}
+	v := strconv.FormatFloat(s.Median, 'g', 4, 64)
+	if s.Median >= 1000 || s.Median <= -1000 {
+		v = strconv.FormatFloat(s.Median, 'f', 0, 64)
+	}
+	return v + " " + unit
+}
+
+// printTables prints one table per top-level benchmark, in the order the
+// benchmarks ran.
+func printTables(out io.Writer, rows []*row) error {
+	type table struct {
+		title      string
+		rows, cols []string
+		cells      map[[2]string]string
+	}
+	var order []*table
+	byTitle := map[string]*table{}
+	seen := map[string]bool{}
+	procs := map[string]int{} // per table: its rows' GOMAXPROCS, or -1 if mixed
 	for _, r := range rows {
-		fmt.Printf("%-14s %12s %12s %12s\n", r.name, ns(r.bare), ns(r.std), ns(r.linux))
+		if p, ok := procs[r.path[0]]; !ok {
+			procs[r.path[0]] = r.Procs
+		} else if p != r.Procs {
+			procs[r.path[0]] = -1
+		}
 	}
-	fmt.Println("(open/close/read/write pay the user-level fileserver IPC path;")
-	fmt.Println(" interpositioning adds a roughly constant marshaling cost)")
-	return nil
-}
-
-func ns(v float64) string {
-	if v < 0 {
-		return "n/a"
+	for _, r := range rows {
+		t := byTitle[r.path[0]]
+		if t == nil {
+			t = &table{title: r.path[0], cells: map[[2]string]string{}}
+			byTitle[t.title] = t
+			order = append(order, t)
+		}
+		last := len(r.path) - 1
+		label := strings.Join(r.path[1:max(1, last)], "/")
+		if procs[t.title] < 0 {
+			label += "-" + strconv.Itoa(r.Procs)
+		}
+		col := r.path[last]
+		if !seen[t.title+"\x00r"+label] {
+			seen[t.title+"\x00r"+label] = true
+			t.rows = append(t.rows, label)
+		}
+		if !seen[t.title+"\x00c"+col] {
+			seen[t.title+"\x00c"+col] = true
+			t.cols = append(t.cols, col)
+		}
+		t.cells[[2]string{label, col}] = r.cell()
 	}
-	return fmt.Sprintf("%.0f ns", v)
-}
-
-// -------------------------------------------------------------- Table 2
-
-func table2() error {
-	counts, order, err := tcbCounts("internal")
-	if err != nil {
-		// When run outside the repo, report and continue.
-		fmt.Printf("source tree not found (%v); run from the repository root\n", err)
-		return nil
-	}
-	total := 0
-	fmt.Printf("%-28s %8s\n", "component", "lines")
-	for _, name := range order {
-		fmt.Printf("%-28s %8d\n", name, counts[name])
-		total += counts[name]
-	}
-	fmt.Printf("%-28s %8d\n", "TOTAL", total)
-	return nil
-}
-
-// -------------------------------------------------------------- Figure 4
-
-func fig4() error {
-	n := iters(5000)
-	fmt.Printf("%-12s %14s %14s\n", "case", "kernel cache", "no cache")
-	for _, name := range []string{"syscall", "no goal", "no proof", "not sound", "pass", "no cred", "embed auth", "auth"} {
-		withCache := fig4Case(name, true, n)
-		noCache := fig4Case(name, false, n)
-		fmt.Printf("%-12s %11.0f ns %11.0f ns\n", name, withCache, noCache)
-	}
-	return nil
-}
-
-func fig4Case(name string, cache bool, n int) float64 {
-	k := mustKernel(kernel.Options{DisableDecisionCache: !cache})
-	g := guard.New(k)
-	k.SetGuard(g)
-	srv, _ := k.CreateProcess(0, []byte("srv"))
-	cli, _ := k.CreateProcess(0, []byte("cli"))
-	port, _ := k.CreatePort(srv, func(kernel.Caller, *kernel.Msg) ([]byte, error) { return nil, nil })
-	call := func() { k.Call(cli, port.ID, &kernel.Msg{Op: "read", Obj: "obj"}) }
-	goal := nal.MustParse("?S says wantsAccess")
-
-	switch name {
-	case "syscall":
-		k.SetAuthorization(false)
-	case "no goal":
-		k.SetGoal(srv, "read", "obj", nal.TrueF{}, nil)
-	case "no proof":
-		k.SetGoal(srv, "read", "obj", goal, nil)
-	case "not sound":
-		k.SetGoal(srv, "read", "obj", goal, nil)
-		bad := nal.MustParse("Other says wantsAccess")
-		k.SetProof(cli, "read", "obj", proof.Assume(0, bad), []kernel.Credential{{Inline: bad}})
-	case "pass":
-		k.SetGoal(srv, "read", "obj", goal, nil)
-		cred := nal.Says{P: cli.Prin, F: nal.Pred{Name: "wantsAccess"}}
-		k.SetProof(cli, "read", "obj", proof.Assume(0, cred), []kernel.Credential{{Inline: cred}})
-	case "no cred":
-		k.SetGoal(srv, "read", "obj", goal, nil)
-		l, _ := cli.Labels.Say("wantsAccess")
-		k.SetProof(cli, "read", "obj", proof.Assume(0, l.Formula),
-			[]kernel.Credential{{Ref: &kernel.LabelRef{PID: cli.PID, Handle: l.Handle}}})
-	case "embed auth":
-		ag := nal.MustParse("Clock says ok")
-		k.SetGoal(srv, "read", "obj", ag, nil)
-		ch := g.RegisterEmbedded("clock", func(nal.Formula) bool { return true })
-		k.SetProof(cli, "read", "obj",
-			&proof.Proof{Steps: []proof.Step{{Rule: proof.RuleAuthority, Channel: ch, F: ag}}}, nil)
-	case "auth":
-		ag := nal.MustParse("Clock says ok")
-		k.SetGoal(srv, "read", "obj", ag, nil)
-		ap, _ := k.CreateProcess(0, []byte("authority"))
-		a, _ := k.RegisterAuthority(ap, func(nal.Formula) bool { return true })
-		k.SetProof(cli, "read", "obj",
-			&proof.Proof{Steps: []proof.Step{{Rule: proof.RuleAuthority, Channel: a.Channel(), F: ag}}}, nil)
-	}
-	return medianNs(7, n, call)
-}
-
-// -------------------------------------------------------------- Figure 5
-
-func fig5() error {
-	n := iters(3000)
-	fmt.Printf("%-10s %6s %14s %14s\n", "family", "rules", "eval only (E)", "full (F)")
-	for _, family := range []string{"delegate", "negate", "boolean"} {
-		for _, rules := range []int{1, 2, 4, 8, 12, 16, 20} {
-			pf, goal, creds := fig5Proof(family, rules)
-			env := &proof.Env{Credentials: creds}
-			e := medianNs(7, n, func() {
-				if _, err := proof.Check(pf, goal, env); err != nil {
-					panic(err)
+	tw := tabwriter.NewWriter(out, 0, 0, 2, ' ', 0)
+	for i, t := range order {
+		if i > 0 {
+			fmt.Fprintln(tw)
+		}
+		fmt.Fprintf(tw, "%s\n\t%s\n", t.title, strings.Join(t.cols, "\t"))
+		for _, label := range t.rows {
+			fmt.Fprint(tw, label)
+			for _, col := range t.cols {
+				c, ok := t.cells[[2]string{label, col}]
+				if !ok {
+					c = "-"
 				}
-			})
-
-			k := mustKernel(kernel.Options{DisableDecisionCache: true})
-			g := guard.New(k)
-			g.SetCacheSize(0)
-			k.SetGuard(g)
-			srv, _ := k.CreateProcess(0, []byte("srv"))
-			cli, _ := k.CreateProcess(0, []byte("cli"))
-			port, _ := k.CreatePort(srv, func(kernel.Caller, *kernel.Msg) ([]byte, error) { return nil, nil })
-			k.SetGoal(srv, "read", "obj", goal, nil)
-			var kcreds []kernel.Credential
-			for _, c := range creds {
-				kcreds = append(kcreds, kernel.Credential{Inline: c})
+				fmt.Fprint(tw, "\t", c)
 			}
-			k.SetProof(cli, "read", "obj", pf, kcreds)
-			f := medianNs(7, n, func() {
-				if _, err := k.Call(cli, port.ID, &kernel.Msg{Op: "read", Obj: "obj"}); err != nil {
-					panic(err)
-				}
-			})
-			fmt.Printf("%-10s %6d %11.0f ns %11.0f ns\n", family, rules, e, f)
+			fmt.Fprintln(tw)
 		}
 	}
-	return nil
-}
-
-// fig5Proof mirrors the bench builder (duplicated to keep the command
-// self-contained).
-func fig5Proof(family string, n int) (*proof.Proof, nal.Formula, []nal.Formula) {
-	switch family {
-	case "negate":
-		base := nal.MustParse("a")
-		creds := []nal.Formula{base}
-		steps := []proof.Step{{Rule: proof.RuleLabel, Label: 0, F: base}}
-		cur := nal.Formula(base)
-		for i := 0; i < n; i++ {
-			cur = nal.Not{F: nal.Not{F: cur}}
-			steps = append(steps, proof.Step{Rule: proof.RuleNotNotI, Premises: []int{len(steps) - 1}, F: cur})
-		}
-		return &proof.Proof{Steps: steps}, cur, creds
-	case "boolean":
-		base := nal.MustParse("a")
-		creds := []nal.Formula{base}
-		steps := []proof.Step{{Rule: proof.RuleLabel, Label: 0, F: base}}
-		cur := nal.Formula(base)
-		for i := 0; i < n; i++ {
-			cur = nal.And{L: base, R: cur}
-			steps = append(steps, proof.Step{Rule: proof.RuleAndI, Premises: []int{0, len(steps) - 1}, F: cur})
-		}
-		return &proof.Proof{Steps: steps}, cur, creds
-	default:
-		var creds []nal.Formula
-		start := nal.Says{P: nal.Name("P0"), F: nal.Pred{Name: "s"}}
-		creds = append(creds, start)
-		for i := 0; i < n; i++ {
-			creds = append(creds, nal.SpeaksFor{
-				A: nal.Name(fmt.Sprintf("P%d", i)),
-				B: nal.Name(fmt.Sprintf("P%d", i+1)),
-			})
-		}
-		steps := []proof.Step{{Rule: proof.RuleLabel, Label: 0, F: start}}
-		var cur nal.Formula = start
-		for i := 0; i < n; i++ {
-			steps = append(steps, proof.Step{Rule: proof.RuleLabel, Label: i + 1, F: creds[i+1]})
-			cur = nal.Says{P: nal.Name(fmt.Sprintf("P%d", i+1)), F: nal.Pred{Name: "s"}}
-			steps = append(steps, proof.Step{
-				Rule:     proof.RuleSpeaksForE,
-				Premises: []int{len(steps) - 1, len(steps) - 2},
-				F:        cur,
-			})
-		}
-		return &proof.Proof{Steps: steps}, cur, creds
-	}
-}
-
-// -------------------------------------------------------------- Figure 6
-
-func fig6() error {
-	n := iters(2000)
-	k := mustKernel(kernel.Options{})
-	g := guard.New(k)
-	k.SetGuard(g)
-	srv, _ := k.CreateProcess(0, []byte("srv"))
-	cli, _ := k.CreateProcess(0, []byte("cli"))
-	ap, _ := k.CreateProcess(0, []byte("authority"))
-	goal := nal.MustParse("?S says wantsAccess")
-	cred := nal.Says{P: cli.Prin, F: nal.Pred{Name: "wantsAccess"}}
-	pf := proof.Assume(0, cred)
-
-	fmt.Printf("%-12s %12s\n", "operation", "latency")
-	fmt.Printf("%-12s %9.0f ns\n", "auth add", medianNs(5, n/10, func() {
-		k.RegisterAuthority(ap, func(nal.Formula) bool { return true })
-	}))
-	fmt.Printf("%-12s %9.0f ns\n", "goal set", medianNs(7, n, func() {
-		k.SetGoal(srv, "read", "obj", goal, nil)
-	}))
-	fmt.Printf("%-12s %9.0f ns\n", "goal clr", medianNs(7, n, func() {
-		k.ClearGoal(srv, "read", "obj")
-	}))
-	fmt.Printf("%-12s %9.0f ns\n", "proof set", medianNs(7, n, func() {
-		k.SetProof(cli, "read", "obj", pf, []kernel.Credential{{Inline: cred}})
-	}))
-	fmt.Printf("%-12s %9.0f ns\n", "proof clr", medianNs(7, n, func() {
-		k.ClearProof(cli, "read", "obj")
-	}))
-	credPID := medianNs(7, n, func() { cli.Labels.Say("isTypeSafe(hash:ab12)") })
-	fmt.Printf("%-12s %9.0f ns\n", "cred add", credPID)
-
-	l, _ := cli.Labels.Say("isTypeSafe(hash:ab12)")
-	credKey := medianNs(5, n/20+1, func() {
-		ext, err := cli.Labels.Externalize(l.Handle)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := cli.Labels.Import(ext); err != nil {
-			panic(err)
-		}
-	})
-	fmt.Printf("\n%-12s %9.0f ns\n", "cred pid", credPID)
-	fmt.Printf("%-12s %9.0f ns   (x%.0f: crypto avoidance, cf. paper's 3 orders)\n",
-		"cred key", credKey, credKey/credPID)
-	return nil
-}
-
-// -------------------------------------------------------------- Figure 7
-
-func fig7() error {
-	n := iters(20000)
-	cases := []struct {
-		name string
-		cfg  netdev.Config
-	}{
-		{"kern-int", netdev.Config{}},
-		{"user-int", netdev.Config{UserDriver: true}},
-		{"kern-drv", netdev.Config{ServerApp: true}},
-		{"user-drv", netdev.Config{UserDriver: true, ServerApp: true}},
-		{"kref min", netdev.Config{ServerApp: true, RefMon: netdev.RefKernel, Cache: true}},
-		{"kref max", netdev.Config{ServerApp: true, RefMon: netdev.RefKernel}},
-		{"uref min", netdev.Config{UserDriver: true, ServerApp: true, RefMon: netdev.RefUser, Cache: true}},
-		{"uref max", netdev.Config{UserDriver: true, ServerApp: true, RefMon: netdev.RefUser}},
-	}
-	fmt.Printf("%-10s %14s %14s\n", "config", "100 B (pps)", "1500 B (pps)")
-	for _, c := range cases {
-		var pps [2]float64
-		for i, size := range []int{100, 1500} {
-			k := mustKernel(kernel.Options{NoAuthorization: true})
-			e, err := netdev.NewEchoPath(k, c.cfg)
-			if err != nil {
-				return err
-			}
-			frame := netdev.MakeFrame(size)
-			lat := medianNs(7, n, func() {
-				if _, err := e.Process(frame); err != nil {
-					panic(err)
-				}
-			})
-			pps[i] = 1e9 / lat
-		}
-		fmt.Printf("%-10s %14.0f %14.0f\n", c.name, pps[0], pps[1])
-	}
-	return nil
-}
-
-// -------------------------------------------------------------- Figure 8
-
-func fig8() error {
-	n := iters(300)
-	sizes := []int{100, 1 << 10, 10 << 10, 100 << 10, 1 << 20}
-	if *quick {
-		sizes = []int{100, 10 << 10, 100 << 10}
-	}
-
-	type variant struct {
-		name string
-		cfg  fauxbook.StackConfig
-	}
-	groups := []struct {
-		title    string
-		variants []variant
-	}{
-		{"access control", []variant{
-			{"none", fauxbook.StackConfig{}},
-			{"static", fauxbook.StackConfig{Access: fauxbook.AccessStatic}},
-			{"dynamic", fauxbook.StackConfig{Access: fauxbook.AccessDynamic}},
-		}},
-		{"introspection (reference monitors)", []variant{
-			{"none", fauxbook.StackConfig{}},
-			{"kernel +cache", fauxbook.StackConfig{RefMon: fauxbook.StackRefKernel, RefMonCache: true}},
-			{"kernel -cache", fauxbook.StackConfig{RefMon: fauxbook.StackRefKernel}},
-			{"user +cache", fauxbook.StackConfig{RefMon: fauxbook.StackRefUser, RefMonCache: true}},
-			{"user -cache", fauxbook.StackConfig{RefMon: fauxbook.StackRefUser}},
-		}},
-		{"attested storage", []variant{
-			{"none", fauxbook.StackConfig{}},
-			{"hash", fauxbook.StackConfig{Storage: fauxbook.StoreHashed}},
-			{"decrypt", fauxbook.StackConfig{Storage: fauxbook.StoreEncrypted}},
-		}},
-	}
-
-	for _, dyn := range []bool{false, true} {
-		row := "static files"
-		if dyn {
-			row = "dynamic (tenant interpreter)"
-		}
-		for _, grp := range groups {
-			fmt.Printf("--- %s, %s: req/s by filesize ---\n", row, grp.title)
-			fmt.Printf("%-16s", "variant")
-			for _, s := range sizes {
-				fmt.Printf(" %10s", sizeName(s))
-			}
-			fmt.Println()
-			for _, v := range grp.variants {
-				cfg := v.cfg
-				cfg.Dynamic = dyn
-				fmt.Printf("%-16s", v.name)
-				for _, size := range sizes {
-					rps, err := fig8Point(cfg, size, n)
-					if err != nil {
-						return fmt.Errorf("%s/%d: %w", v.name, size, err)
-					}
-					fmt.Printf(" %10.0f", rps)
-				}
-				fmt.Println()
-			}
-			fmt.Println()
-		}
-	}
-	return nil
-}
-
-func fig8Point(cfg fauxbook.StackConfig, size, n int) (float64, error) {
-	t, err := tpm.Manufacture(1024)
-	if err != nil {
-		return 0, err
-	}
-	t.Extend(tpm.PCRKernel, []byte("nexus"))
-	if err := t.TakeOwnership([]tpm.PCRIndex{tpm.PCRKernel}); err != nil {
-		return 0, err
-	}
-	var mgr *ssr.Manager
-	if cfg.Storage != fauxbook.StorePlain {
-		if mgr, err = ssr.Init(t, disk.New()); err != nil {
-			return 0, err
-		}
-	}
-	k := mustKernel(kernel.Options{})
-	w, err := fauxbook.NewWebStack(k, mgr, cfg)
-	if err != nil {
-		return 0, err
-	}
-	content := make([]byte, size)
-	for i := range content {
-		content[i] = byte('a' + i%26)
-	}
-	if err := w.PutFile("/doc", content); err != nil {
-		return 0, err
-	}
-	// Scale iterations down for large files so runtime stays bounded.
-	per := n
-	if size >= 100<<10 {
-		per = n / 10
-	}
-	if per < 5 {
-		per = 5
-	}
-	lat := medianNs(5, per, func() {
-		if _, err := w.Request("/doc"); err != nil {
-			panic(err)
-		}
-	})
-	return 1e9 / lat, nil
-}
-
-// -------------------------------------------------------------- Scaling
-
-// scale is the lock-decomposition experiment: end-to-end dispatch
-// throughput (warm decision cache, authorization and interpositioning on)
-// as client concurrency grows. With the kernel decomposed into concurrent
-// registries, ops/sec should track the available cores; under a
-// kernel-global lock it stays flat however many workers are added.
-func scale() error {
-	total := iters(400000)
-	fmt.Printf("GOMAXPROCS=%d (speedup is bounded by available cores)\n\n", runtime.GOMAXPROCS(0))
-	fmt.Printf("%-8s %16s %16s\n", "workers", "syscall (ops/s)", "IPC (ops/s)")
-	for _, workers := range []int{1, 2, 4, 8} {
-		k := mustKernel(kernel.Options{})
-		srv, _ := k.CreateProcess(0, []byte("srv"))
-		pt, err := k.CreatePort(srv, func(kernel.Caller, *kernel.Msg) ([]byte, error) {
-			return []byte("ok"), nil
-		})
-		if err != nil {
-			return err
-		}
-		procs := make([]*kernel.Process, workers)
-		for i := range procs {
-			p, err := k.CreateProcess(0, []byte(fmt.Sprintf("w%d", i)))
-			if err != nil {
-				return err
-			}
-			// Warm the (subject, op, obj) decisions off the measured path.
-			if err := p.Null(); err != nil {
-				return err
-			}
-			if _, err := k.Call(p, pt.ID, &kernel.Msg{Op: "read", Obj: "obj"}); err != nil {
-				return err
-			}
-			procs[i] = p
-		}
-
-		var failures atomic.Int64
-		parallel := func(op func(p *kernel.Process) error) float64 {
-			per := total / workers
-			var wg sync.WaitGroup
-			start := time.Now()
-			for _, p := range procs {
-				wg.Add(1)
-				go func(p *kernel.Process) {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						if err := op(p); err != nil {
-							failures.Add(1)
-						}
-					}
-				}(p)
-			}
-			wg.Wait()
-			return float64(per*workers) / time.Since(start).Seconds()
-		}
-
-		sys := parallel(func(p *kernel.Process) error { return p.Null() })
-		ipc := parallel(func(p *kernel.Process) error {
-			_, err := k.Call(p, pt.ID, &kernel.Msg{Op: "read", Obj: "obj"})
-			return err
-		})
-		if n := failures.Load(); n > 0 {
-			return fmt.Errorf("scale: %d operations failed; throughput numbers are invalid", n)
-		}
-		fmt.Printf("%-8d %16.0f %16.0f\n", workers, sys, ipc)
-	}
-	return nil
-}
-
-func sizeName(n int) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%dMB", n>>20)
-	case n >= 1<<10:
-		return fmt.Sprintf("%dkB", n>>10)
-	}
-	return fmt.Sprintf("%dB", n)
+	return tw.Flush()
 }

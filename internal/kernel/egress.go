@@ -1,9 +1,10 @@
 // Egress coalescing: per-connection small-write combining.
 //
-// A scheduling quantum that produces several outbound frames — pipelined
-// responses, a credit grant, nested requests — used to pay one writev per
-// frame. The egress combiner stages them and flushes once, at quantum end
-// (schedConn.run) or when the staging buffer crosses its high-water mark.
+// A scheduling quantum can produce several outbound frames — pipelined
+// responses, a credit grant, nested requests — and writing each on its own
+// costs one writev per frame. The egress combiner stages them and flushes
+// once, at quantum end (schedConn.run) or when the staging buffer crosses
+// its high-water mark.
 // There is no timer: latency is bounded by the quantum the frames were
 // produced in, not a Nagle delay.
 //

@@ -227,12 +227,12 @@ func FuzzRemoteSubmitFrame(f *testing.F) {
 	f.Add([]byte{1}, append(append([]byte{}, pp...), 0xff, 0xff, 0xff, 0xff), []byte(nil)) // count overflow
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
 		append(append([]byte{}, pp...), valid...), []byte(nil)) // max uvarint id
-	f.Add([]byte{0x80, 0x80}, []byte{}, []byte(nil))            // torn id
+	f.Add([]byte{0x80, 0x80}, []byte{}, []byte(nil))                                // torn id
 	f.Add([]byte{2}, []byte{7, 1, 1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0}, []byte(nil)) // short msg
-	f.Add([]byte{1}, append(append([]byte{}, pp...), valid...), []byte{1})           // benign credit
+	f.Add([]byte{1}, append(append([]byte{}, pp...), valid...), []byte{1})          // benign credit
 	f.Add([]byte{1}, append(append([]byte{}, pp...), valid...),
 		binary.AppendUvarint(nil, ^uint64(0))) // huge credit: clamped, not poisoned
-	f.Add([]byte{1}, append(append([]byte{}, pp...), valid...), []byte{0x80})  // torn credit uvarint
+	f.Add([]byte{1}, append(append([]byte{}, pp...), valid...), []byte{0x80}) // torn credit uvarint
 	f.Add([]byte{1}, append(append([]byte{}, pp...), valid...), []byte{1, 2}) // trailing credit bytes
 	f.Fuzz(func(t *testing.T, idBytes, payload, credit []byte) {
 		if len(idBytes) > 10 || len(payload) > 4096 || len(credit) > 16 {

@@ -38,12 +38,12 @@ const (
 	mNetSendBytes
 	mNetRecvs // transport frames received
 	mNetRecvBytes
-	mNetTimeouts       // transport I/O classified ETIMEDOUT
-	mNetShed           // connections rejected at the MaxConns shed-load gate
-	mNetPollWakeups    // blocking EpollWait returns on parked shard workers
-	mNetEgressFlushes  // egress-combiner flushes (writes to the connection)
-	mNetEgressFrames   // frames that left through the combiner
-	mLedgerFwdErrs     // audit→ledger forwards the ledger rejected
+	mNetTimeouts      // transport I/O classified ETIMEDOUT
+	mNetShed          // connections rejected at the MaxConns shed-load gate
+	mNetPollWakeups   // blocking EpollWait returns on parked shard workers
+	mNetEgressFlushes // egress-combiner flushes (writes to the connection)
+	mNetEgressFrames  // frames that left through the combiner
+	mLedgerFwdErrs    // audit→ledger forwards the ledger rejected
 	numMetrics
 )
 
@@ -210,33 +210,33 @@ func (k *Kernel) Metrics() MetricsSnapshot {
 	m := k.metrics
 	cs := k.dcache.StatsSnapshot()
 	s := MetricsSnapshot{
-		DCacheLookups:      cs.Lookups,
-		DCacheHits:         cs.Hits,
-		DCacheMisses:       cs.Misses,
-		DCacheEvictions:    cs.Evictions,
-		GuardUpcalls:       k.guardUpcalls.Load(),
-		ProofChecks:        m.total(mProofChecks),
-		AuditRecords:       k.audit.Total(),
-		AuditRetained:      uint64(k.audit.Len()),
-		LedgerForwardXErrs: m.total(mLedgerFwdErrs),
-		WireDecodes:        m.total(mWireDecodes),
-		WireDecodeErrors:   m.total(mWireDecodeErrs),
-		NetSends:           m.total(mNetSends),
-		NetSendBytes:       m.total(mNetSendBytes),
-		NetRecvs:           m.total(mNetRecvs),
-		NetRecvBytes:       m.total(mNetRecvBytes),
-		NetTimeouts:        m.total(mNetTimeouts),
-		NetLiveConns:       gauge(m.netConns.Load()),
-		NetPoolDepth:       gauge(m.netQueued.Load()),
-		NetShedRejects:     m.total(mNetShed),
-		NetPollWakeups:     m.total(mNetPollWakeups),
-		NetEgressFlushes:   m.total(mNetEgressFlushes),
+		DCacheLookups:            cs.Lookups,
+		DCacheHits:               cs.Hits,
+		DCacheMisses:             cs.Misses,
+		DCacheEvictions:          cs.Evictions,
+		GuardUpcalls:             k.guardUpcalls.Load(),
+		ProofChecks:              m.total(mProofChecks),
+		AuditRecords:             k.audit.Total(),
+		AuditRetained:            uint64(k.audit.Len()),
+		LedgerForwardXErrs:       m.total(mLedgerFwdErrs),
+		WireDecodes:              m.total(mWireDecodes),
+		WireDecodeErrors:         m.total(mWireDecodeErrs),
+		NetSends:                 m.total(mNetSends),
+		NetSendBytes:             m.total(mNetSendBytes),
+		NetRecvs:                 m.total(mNetRecvs),
+		NetRecvBytes:             m.total(mNetRecvBytes),
+		NetTimeouts:              m.total(mNetTimeouts),
+		NetLiveConns:             gauge(m.netConns.Load()),
+		NetPoolDepth:             gauge(m.netQueued.Load()),
+		NetShedRejects:           m.total(mNetShed),
+		NetPollWakeups:           m.total(mNetPollWakeups),
+		NetEgressFlushes:         m.total(mNetEgressFlushes),
 		NetEgressCoalescedFrames: m.total(mNetEgressFrames),
-		GuardUpcallNs:      m.guardNs.snapshot(),
-		NetRequestNs:       m.netReqNs.snapshot(),
-		NetInflightDepth:   m.netDepth.snapshot(),
-		NetBatchOps:        m.netBatch.snapshot(),
-		NetQueueLen:        m.netQueueLen.snapshot(),
+		GuardUpcallNs:            m.guardNs.snapshot(),
+		NetRequestNs:             m.netReqNs.snapshot(),
+		NetInflightDepth:         m.netDepth.snapshot(),
+		NetBatchOps:              m.netBatch.snapshot(),
+		NetQueueLen:              m.netQueueLen.snapshot(),
 	}
 	if l := k.led.Load(); l != nil {
 		ls := l.Stats()

@@ -6,13 +6,12 @@
 // There is no poller thread. Each scheduler shard owns an epoll instance,
 // and when the shard's run queue empties its worker parks on that instance
 // (schedShard.pop) — socket readiness resumes the worker directly and the
-// woken worker immediately runs the ready connection, where the old
-// shared-poller design paid a poller→worker thread handoff (a context
-// switch each way) per wakeup. The park itself is a goroutine park, not a
-// blocked thread: the epoll descriptor is handed to the Go runtime's
-// netpoller (an epoll fd is readable exactly when its interest set has
-// pending events, and the runtime polls any epoll descriptor on Linux),
-// and the worker sleeps in RawRead until it is. Parking a raw EpollWait
+// woken worker immediately runs the ready connection, with no poller→worker
+// thread handoff (a context switch each way) per wakeup. The park itself is
+// a goroutine park, not a blocked thread: the epoll descriptor is handed to
+// the Go runtime's netpoller (an epoll fd is readable exactly when its
+// interest set has pending events, and the runtime polls any epoll
+// descriptor on Linux), and the worker sleeps in RawRead until it is. Parking a raw EpollWait
 // thread instead would pin the worker's P in _Psyscall until sysmon
 // retakes it — tens of microseconds per wakeup on a small GOMAXPROCS,
 // paid on every hop of a lockstep round trip; the netpoller-integrated

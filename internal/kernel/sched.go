@@ -1,20 +1,17 @@
 // Event-driven transport runtime: the connection scheduler.
 //
-// PR 7's transport was goroutine-per-connection — one serve goroutine per
-// accepted conn, one receive loop per dialed peer. Fine for two nodes,
-// wrong for a front-end fleet: 100k idle connections would cost 100k
-// goroutine stacks. This file replaces that with a sharded scheduler: a
-// bounded worker pool (TransportConfig.Workers) where each worker owns one
-// shard — a run queue of ready connections plus a pooled ingress arena —
-// and connections are multiplexed over the shards. An idle connection
-// costs a file descriptor and a few hundred bytes of state, not a stack.
+// Connections are multiplexed over a sharded scheduler rather than given a
+// goroutine each, so that 100k idle connections do not cost 100k goroutine
+// stacks: a bounded worker pool (TransportConfig.Workers) where each
+// worker owns one shard — a run queue of ready connections plus a pooled
+// ingress arena. An idle connection costs a file descriptor and a few
+// hundred bytes of state, not a stack.
 //
 // The per-connection state machine (csIdle/csQueued/csRunning/
 // csRunningDirty) guarantees that at most one worker processes a given
-// connection at a time, so all the per-connection ingress state that PR 5/7
-// confined to the serve goroutine (wire decoder, proxy table, credit
-// counters) stays plain-field, lock-free state — the confinement just moved
-// from "its goroutine" to "whichever worker holds it in csRunning".
+// connection at a time, so the per-connection ingress state (wire decoder,
+// proxy table, credit counters) is plain-field, lock-free state owned by
+// whichever worker holds the connection in csRunning.
 // notify() is lost-wakeup-safe: a notification landing while the
 // connection runs flips it to csRunningDirty, and the worker re-queues it
 // instead of parking it.
@@ -30,8 +27,8 @@
 // teardown kicks) writes the shard's eventfd. Frame delivery is pulled through the
 // frameSource interface: loopback conns implement it natively, TCP conns
 // on Linux are epoll-driven, and any other Conn implementation falls back
-// to a shim goroutine — the one place the old per-connection goroutine
-// survives, for transports the runtime cannot poll.
+// to a shim goroutine — the one place a connection holds a goroutine, for
+// transports the runtime cannot poll.
 package kernel
 
 import (

@@ -294,9 +294,10 @@ func (s *Session) Call(c Cap, m *Msg) ([]byte, error) {
 	return s.k.dispatch(s.p, pt, m, pt.h)
 }
 
-// CallContext is Call honoring context cancellation: the context is checked
-// once before dispatch (calls are synchronous and non-blocking in the
-// simulation, so there is no mid-call cancellation point).
+// CallContext is Call honoring context cancellation before dispatch: the
+// context is checked once, and a call that has started runs to completion.
+// A call through a remote handle waits for the peer's answer without
+// watching ctx.
 func (s *Session) CallContext(ctx context.Context, c Cap, m *Msg) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, abiErr(ECANCELED, m.Op, err.Error())

@@ -30,11 +30,6 @@ type TCPTransport struct {
 	// connection (both roles). Zero selects the default (10s); negative
 	// disables the bound.
 	HandshakeTimeout time.Duration
-	// IOTimeout bounds each post-handshake Send/Recv. Zero means no bound
-	// — peer connections are long-lived and idle between requests, so a
-	// blanket I/O deadline would reap healthy idle peers; set it only when
-	// the caller owns the request cadence.
-	IOTimeout time.Duration
 }
 
 // Default transport deadlines (see TCPTransport).
@@ -141,11 +136,6 @@ func (t *tcpConn) Send(frame []byte) error {
 	}
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
-	if d := t.cfg.IOTimeout; d > 0 {
-		if err := t.c.SetWriteDeadline(time.Now().Add(d)); err != nil {
-			return err
-		}
-	}
 	binary.LittleEndian.PutUint32(t.lenBuf[:], uint32(len(frame)))
 	t.vec[0] = t.lenBuf[:]
 	t.vec[1] = frame
@@ -163,11 +153,6 @@ func (t *tcpConn) Send(frame []byte) error {
 func (t *tcpConn) SendRaw(p []byte) error {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
-	if d := t.cfg.IOTimeout; d > 0 {
-		if err := t.c.SetWriteDeadline(time.Now().Add(d)); err != nil {
-			return err
-		}
-	}
 	if _, err := t.c.Write(p); err != nil {
 		return tcpErr("send", err)
 	}
@@ -182,11 +167,6 @@ func (t *tcpConn) SendRaw(p []byte) error {
 func (t *tcpConn) Recv() ([]byte, error) {
 	t.recvMu.Lock()
 	defer t.recvMu.Unlock()
-	if d := t.cfg.IOTimeout; d > 0 {
-		if err := t.c.SetReadDeadline(time.Now().Add(d)); err != nil {
-			return nil, err
-		}
-	}
 	if _, err := io.ReadFull(t.c, t.rlenBuf[:]); err != nil {
 		return nil, tcpErr("recv", err)
 	}

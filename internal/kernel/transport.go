@@ -85,10 +85,9 @@
 // list, and is a leaf — it is never held across I/O, encoding, or any
 // other lock; serverConn state (its egress combiner included) needs no
 // lock because the scheduler guarantees at most one worker runs a given
-// connection at a time (the confinement that used to come from the serve
-// goroutine). Credit frames ride the same egress combiners as everything
-// else: with sendMu never held across I/O, a demux worker returning
-// credits is no longer exposed to a stalled sender. Proxy teardown (conn
+// connection at a time. Credit frames ride the same egress combiners as
+// everything else: with sendMu never held across I/O, a stalled sender
+// cannot hold up a demux worker returning credits. Proxy teardown (conn
 // close, Node.Close) takes kernel registry locks only after every
 // transport lock is released.
 package kernel

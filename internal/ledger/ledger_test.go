@@ -39,8 +39,8 @@ func fill(t testing.TB, b Backend, opts Options, n int) *Ledger {
 
 // TestLedgerProveAll: every record of a run verifies against its anchored
 // root, whatever the batch-size/record-count alignment (the acceptance
-// criterion, scaled down; the 10k run lives in cmd/experiments -exp
-// ledger and TestLedgerProve10k below).
+// criterion, scaled down; the 10k runs are TestLedgerProve10k below and
+// BenchmarkLedger/prove, which `make bench-json` records).
 func TestLedgerProveAll(t *testing.T) {
 	for _, tc := range []struct{ n, batch int }{
 		{1, 4}, {4, 4}, {5, 4}, {64, 16}, {100, 16}, {257, 64},
@@ -257,58 +257,5 @@ func TestLedgerMemReplay(t *testing.T) {
 	}
 	if got, want := len(l2.Batches()), len(l.Batches()); got != want {
 		t.Fatalf("replayed %d batches, want %d", got, want)
-	}
-}
-
-// BenchmarkLedgerAppend measures the per-decision batcher cost over the
-// mock backend (the anchored-but-not-persisted configuration).
-func BenchmarkLedgerAppend(b *testing.B) {
-	l, err := New(NewMemBackend(), Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := mkRecord(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Seq = uint64(i)
-		if err := l.Append(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLedgerProve measures proof construction over a sealed ledger.
-func BenchmarkLedgerProve(b *testing.B) {
-	l := fill(b, NewMemBackend(), Options{}, 4096)
-	if err := l.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Prove(uint64(i % 4096)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLedgerVerifyInclusion measures the client-side offline check.
-func BenchmarkLedgerVerifyInclusion(b *testing.B) {
-	l := fill(b, NewMemBackend(), Options{}, 4096)
-	if err := l.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	r, _ := l.Record(1234)
-	p, err := l.Prove(1234)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := VerifyInclusion(&r, p); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

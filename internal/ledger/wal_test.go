@@ -262,27 +262,3 @@ func TestWALHeaderRejected(t *testing.T) {
 		t.Fatalf("short header accepted: %v", err)
 	}
 }
-
-// BenchmarkWALAppend measures the durable append path (fsync batched at the
-// default cadence).
-func BenchmarkWALAppend(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "audit.wal")
-	w, err := OpenWAL(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	l, err := New(w, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := mkRecord(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Seq = uint64(i)
-		if err := l.Append(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -226,7 +226,7 @@ func checkFrameC(steps []cstep, credIDs []nal.FormulaID, env *Env, res *Result) 
 		// The memo covers pure steps that carry subproofs: a hit skips the
 		// nested frames entirely. Simple pure steps are deliberately NOT
 		// memoized — with ID equality their destructuring check is cheaper
-		// than a memo probe (measured in Ablation_ProofPipeline).
+		// than a memo probe (BenchmarkProof/check/compiled vs check/nomemo).
 		memoable := s.pure && len(s.sub) > 0
 		if memoable {
 			if v, ok := memoLookup(&s.key); ok {

@@ -314,7 +314,7 @@ func (d *WireDecoder) pRef(r *wireReader) (PrinID, bool) {
 // malformed or truncated message fails without losing previously decoded
 // state. The warm path — a message that is a bare root reference — reads
 // one opcode and one varint and allocates nothing (pinned by
-// BenchmarkWireDecodeWarm; nexuslint checks the static view).
+// TestWireWarmDecodeZeroAlloc; nexuslint checks the static view).
 //
 //nexus:noalloc
 func (d *WireDecoder) DecodeFormula(buf []byte) (FormulaID, int, error) {
