@@ -2,10 +2,10 @@ GO ?= go
 
 .PHONY: check fmt vet lint lint-fix-hints build test race bench-smoke bench-json bench-parallel perfbench-check fuzz-smoke api-check api-update leakcheck
 
-# check is the CI gate: formatting, static analysis (vet + nexuslint),
-# build, the full race suite, the API-stability gate, the transport
-# goroutine-leak gate, a benchmark smoke so no benchmark can bit-rot, and
-# vet + tests of the perfbench module.
+# check is the CI gate: formatting, static analysis (vet for linux, darwin
+# and windows, plus nexuslint), build, the full race suite, the
+# API-stability gate, the transport goroutine-leak gate, a benchmark smoke
+# so no benchmark can bit-rot, and vet + tests of the perfbench module.
 check: fmt vet lint build race api-check leakcheck bench-smoke perfbench-check
 
 # fmt fails when gofmt would reformat any Go file.
@@ -24,10 +24,10 @@ lint:
 lint-fix-hints:
 	$(GO) run ./cmd/nexuslint -v ./...
 
-# leakcheck pins the event-driven transport's goroutine footprint: 1024
-# idle connections must cost O(worker-pool) goroutines, and a thousand
-# dial/call/close cycles, over loopback and over TCP, must return the
-# process to its baseline count.
+# leakcheck pins the transport's goroutine footprint: 1024 idle
+# connections, over loopback and over TCP, must cost exactly one goroutine
+# per connection end, and a thousand dial/call/close cycles over each must
+# return the process to its baseline count.
 leakcheck:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'TestTransportGoroutineFootprint|TestLoopbackTransportStress|TestTCPTransportStress' ./internal/kernel
 
@@ -46,8 +46,11 @@ api-check:
 api-update:
 	$(GO) run ./cmd/apidump > api.txt
 
+# vet also type-checks the non-Linux files, which no other target builds.
 vet:
 	$(GO) vet ./...
+	GOOS=darwin $(GO) vet ./...
+	GOOS=windows $(GO) vet ./...
 
 # perfbench-check vets and tests the perfbench module (the repository
 # benchmark), which the root module's ./... patterns do not reach.

@@ -309,11 +309,10 @@ func TestAllocRemoteCallWarm(t *testing.T) {
 
 // TestAllocRemoteCallWarmTCP is TestAllocRemoteCallWarm over TCP on
 // 127.0.0.1, both endpoints included, at the same ≤2 ceiling: ingress is
-// one read into the worker's receive buffer, split into pooled arena
-// buffers, and the socket read, every epoll_ctl and the shard's epoll park
-// pass callbacks bound once, so the response frame is again the only
-// inherent allocation. The regression pin for the BENCH_net
-// call/remote-tcp row.
+// one read into a pooled receive buffer, split into pooled arena buffers,
+// and the socket read and the netpoller park pass a callback bound once,
+// so the response frame is again the only inherent allocation. The
+// regression pin for the BENCH_net call/remote-tcp row.
 func TestAllocRemoteCallWarmTCP(t *testing.T) {
 	if raceEnabled {
 		t.Skip("cross-goroutine pool reuse is perturbed under the race detector")

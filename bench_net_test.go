@@ -90,12 +90,8 @@ func submitRemote(b *testing.B, name string, cli *kernel.Session, rc kernel.Cap)
 
 // BenchmarkNet is BENCH_net.json: an echo service on the serving kernel
 // (guarded, no goal: warm default-allow decisions) reached locally, from a
-// second kernel over loopback, and over TCP.
-//
-// The TCP rows run over their own nodes, closed when they finish, so that
-// no loopback row shares a shard with a live socket: a socket makes the
-// shard's worker park in epoll, and loopback traffic on that shard would
-// pay eventfd kicks instead of condvar handoffs.
+// second kernel over loopback, and over TCP. The TCP rows run over their
+// own nodes, closed when they finish.
 func BenchmarkNet(b *testing.B) {
 	kStore := benchKernel(b, kernel.Options{})
 	kStore.SetGuard(guard.New(kStore))
@@ -142,7 +138,7 @@ func BenchmarkNet(b *testing.B) {
 
 	// Connection churn: a full dial+close cycle. The handshake dominates
 	// (two Ed25519 signatures, an X25519 exchange); the runtime adds only
-	// scheduler registration, so this row is also the shed-recovery rate.
+	// a goroutine per end, so this row is also the shed-recovery rate.
 	b.Run("conn/churn", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -155,15 +151,17 @@ func BenchmarkNet(b *testing.B) {
 	})
 
 	// Idle-connection memory: b.N established connections held open, and
-	// the settled heap growth per connection in B/conn; ns/op is the dial.
-	// Loopback keeps both endpoints in this process, so the figure covers a
-	// client Peer plus a serverConn together. No goroutine is held per
-	// connection (TestTransportGoroutineFootprint), so this is the whole
-	// marginal footprint of an idle connection.
+	// per connection the settled heap growth (B/conn), the growth of
+	// goroutine stacks (stack-B/conn) and the goroutines held; ns/op is the
+	// dial. Loopback keeps both endpoints in this process, so the figures
+	// cover a client Peer plus a serverConn together, each waiting on its
+	// own goroutine (TestTransportGoroutineFootprint): the whole marginal
+	// footprint of an idle connection.
 	b.Run("conn/idle-mem", func(b *testing.B) {
 		var m0, m1 runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&m0)
+		g0 := runtime.NumGoroutine()
 		peers := make([]*kernel.Peer, 0, b.N)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -176,7 +174,10 @@ func BenchmarkNet(b *testing.B) {
 		b.StopTimer()
 		runtime.GC()
 		runtime.ReadMemStats(&m1)
+		g1 := runtime.NumGoroutine()
 		b.ReportMetric(float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc))/float64(b.N), "B/conn")
+		b.ReportMetric(float64(int64(m1.StackInuse)-int64(m0.StackInuse))/float64(b.N), "stack-B/conn")
+		b.ReportMetric(float64(g1-g0)/float64(b.N), "goroutines/conn")
 		for _, p := range peers {
 			p.Close()
 		}
@@ -188,9 +189,9 @@ func BenchmarkNet(b *testing.B) {
 		b.Fatal(err)
 	}
 	callRemote(b, "call/remote-tcp", cli, tc, m)
-	// Blocking poll wakeups per lockstep TCP request, both kernels summed:
-	// each shard wakes at most once per inbound frame, so a request and its
-	// response should cost 2.
+	// Netpoller wakeups per lockstep TCP request, both kernels summed: the
+	// serving end wakes for the request and the dialed end for its response,
+	// so a request should cost 2.
 	b.Run("tcp/wakeups-per-req", func(b *testing.B) {
 		wakeups := func() uint64 { return kStore.Metrics().NetPollWakeups + kFront.Metrics().NetPollWakeups }
 		w0 := wakeups()
@@ -203,7 +204,7 @@ func BenchmarkNet(b *testing.B) {
 	})
 	submitRemote(b, "call/remote-tcp-batch64", cli, tc)
 	// Egress coalescing: a pipelined burst overlaps many requests in
-	// flight, so frames produced within one scheduling quantum leave in one
+	// flight, so responses produced within one read burst leave in one
 	// write. 1 frame/flush is lockstep.
 	b.Run("egress/coalesce", func(b *testing.B) {
 		egress := func() (flushes, frames uint64) {

@@ -1,11 +1,13 @@
 // Egress coalescing: per-connection small-write combining.
 //
-// A scheduling quantum can produce several outbound frames — pipelined
-// responses, a credit grant, nested requests — and writing each on its own
-// costs one writev per frame. The egress combiner stages them and flushes
-// once, at quantum end (schedConn.run) or when the staging buffer crosses
-// its high-water mark.
-// There is no timer: latency is bounded by the quantum the frames were
+// One read burst can produce several outbound frames — pipelined
+// responses, a credit grant — and writing each on its own costs one write
+// per frame. The egress combiner stages them and flushes once, when the
+// connection has no further frame to read without waiting (drive) or when
+// the staging buffer crosses its high-water mark. On a dialed peer every
+// caller flushes after staging, and frames staged while another caller's
+// write is in flight leave with the next one.
+// There is no timer: latency is bounded by the burst the frames were
 // produced in, not a Nagle delay.
 //
 // Two modes, chosen by the connection's capabilities:
@@ -14,9 +16,9 @@
 //     back-to-back in one buffer, each behind its 4-byte length prefix,
 //     and the whole run goes out in a single write — N frames, one
 //     syscall, one packet train;
-//   - frame (loopback and shims): frames are staged in pooled buffers and
-//     handed to Conn.Send one by one at flush, preserving the interface's
-//     per-frame ownership transfer.
+//   - frame (loopback and any other Conn): frames are staged in pooled
+//     buffers and handed to Conn.Send one by one at flush, preserving the
+//     interface's per-frame ownership transfer.
 //
 // Buffers come from framePool, a bounded global free list shared with the
 // ingress arenas (netArena overflows into it and refills from it), so the
@@ -93,11 +95,11 @@ func putFrameBuf(b []byte) {
 }
 
 const (
-	// egressHighWater triggers a mid-quantum flush: staging beyond this
-	// buys nothing (the kernel will segment anyway) and grows the buffer.
+	// egressHighWater triggers a flush mid-burst: staging beyond this buys
+	// nothing (the kernel will segment anyway) and grows the buffer.
 	egressHighWater = 16 << 10
 	// egressKeepCap bounds the staging buffer retained across flushes;
-	// egressParkCap bounds what an idle (parked) connection may retain.
+	// egressParkCap bounds what an idle (waiting) connection may retain.
 	egressKeepCap = 8 << 10
 	egressParkCap = 2 << 10
 	// egressFrameHighWater is the frame-mode flush trigger.
@@ -105,8 +107,8 @@ const (
 )
 
 // egress is one connection's small-write combiner. Confinement is the
-// owner's concern: serverConn egress is worker-confined (the scheduler
-// runs one worker per connection), Peer egress is guarded by sendMu.
+// owner's concern: serverConn egress is confined to the connection's
+// goroutine, Peer egress is guarded by sendMu.
 type egress struct {
 	c  Conn
 	rw rawWriter // non-nil selects contiguous mode
@@ -155,17 +157,24 @@ func (e *egress) begin() []byte {
 	return getFrameBuf(0)
 }
 
+// size returns the body length of the frame begun by begin (b is the
+// possibly-regrown buffer).
+func (e *egress) size(b []byte) int {
+	if e.rw != nil {
+		return len(b) - e.holeAt - 4
+	}
+	return len(b)
+}
+
 // commit seals the frame begun by begin (b is the possibly-regrown
 // buffer) and returns its body length.
 func (e *egress) commit(b []byte) int {
-	var n int
+	n := e.size(b)
 	if e.rw != nil {
-		n = len(b) - e.holeAt - 4
 		binary.LittleEndian.PutUint32(b[e.holeAt:e.holeAt+4], uint32(n))
 		e.buf = b
 		e.holeAt = -1
 	} else {
-		n = len(b)
 		e.frames = append(e.frames, b)
 	}
 	e.pend++
@@ -173,11 +182,18 @@ func (e *egress) commit(b []byte) int {
 }
 
 // abandon discards the frame begun by begin (b is the possibly-regrown
-// buffer) without sealing it — the mid-encode failure path. Earlier staged
-// frames survive; only the open one is dropped.
+// buffer) without sealing it — the mid-encode and oversized-frame failure
+// paths. Earlier staged frames survive; only the open one is dropped. A
+// buffer that staged nothing else goes back to the pool, so an oversized
+// frame's growth is not retained.
 func (e *egress) abandon(b []byte) {
 	if e.rw != nil {
-		e.buf = b[:e.holeAt]
+		if e.holeAt == 0 {
+			putFrameBuf(b)
+			e.buf = nil
+		} else {
+			e.buf = b[:e.holeAt]
+		}
 		e.holeAt = -1
 	} else {
 		putFrameBuf(b)
@@ -204,14 +220,14 @@ func (e *egress) stage(frame []byte) {
 }
 
 // full reports that staging crossed its high-water mark and the owner
-// should flush mid-quantum.
+// should flush mid-burst.
 func (e *egress) full() bool {
 	return len(e.buf) >= egressHighWater || len(e.frames) >= egressFrameHighWater
 }
 
 // take removes the staged batch for writing, resetting staging to the
 // spare half so the owner can keep appending while the batch is written.
-// Requires the owner's confinement (lock or worker); the returned batch
+// Requires the owner's confinement (lock or goroutine); the returned batch
 // is then private to the flusher.
 func (e *egress) take() (buf []byte, frames [][]byte, n int) {
 	buf, frames, n = e.buf, e.frames, e.pend
@@ -272,8 +288,8 @@ func (e *egress) flush() error {
 	return err
 }
 
-// trim releases oversized retained staging; called as the connection
-// parks so an idle connection pins at most egressParkCap of scratch.
+// trim releases oversized retained staging; called before the connection
+// waits, so an idle connection pins at most egressParkCap of scratch.
 func (e *egress) trim() {
 	if e.buf != nil && len(e.buf) == 0 && cap(e.buf) > egressParkCap {
 		putFrameBuf(e.buf)

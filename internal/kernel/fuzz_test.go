@@ -196,7 +196,7 @@ func remoteFuzzConn(t *testing.T) Conn {
 
 // fuzzRecvResp reads the next response frame, skipping fCredit frames —
 // the server's flow-control grants are transport-level traffic interleaved
-// with responses, consumed by the peer demux in real deployments.
+// with responses, consumed by the peer's goroutine in real deployments.
 func fuzzRecvResp(c Conn) ([]byte, error) {
 	for {
 		resp, err := c.Recv()
@@ -274,7 +274,7 @@ func FuzzRemoteSubmitFrame(f *testing.F) {
 			t.Fatalf("server answered after malformed credit frame % x", credit)
 		}
 		// Return the consumed response credit so the server's window never
-		// runs dry across iterations (the real peer demux does the same).
+		// runs dry across iterations (the real peer's goroutine does the same).
 		if err := c.Send([]byte{fCredit, 1}); err != nil {
 			remoteFuzz.c = nil
 		}

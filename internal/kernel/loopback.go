@@ -3,7 +3,6 @@ package kernel
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 )
 
 // LoopbackTransport is the in-memory transport backend: nodes in one
@@ -112,9 +111,8 @@ func (l *loopListener) Addr() string { return l.addr }
 const loopKeepFrames = 64
 
 // loopState is the shared state of one loopback pipe: two frame queues
-// (one per direction), their condvars (blocking Recv is handshake-only),
-// and the closed flag. mu is a leaf lock — scheduler wakeups run strictly
-// after it is released, so it can never order against a shard lock.
+// (one per direction), the condvars their readers wait on, and the closed
+// flag. mu is a leaf lock.
 type loopState struct {
 	mu     sync.Mutex
 	cond   [2]*sync.Cond
@@ -144,33 +142,20 @@ func (st *loopState) popLocked(i int) ([]byte, bool) {
 }
 
 // loopConn is one end of an in-memory duplex pipe. Closing either end
-// unblocks both. It implements frameSource natively: Send wakes the peer
-// end's scheduler registration, so an idle loopback connection costs no
-// goroutine at all — and, since the queues grow on demand and shrink when
-// drained, almost no memory.
+// unblocks both. It is its own frameReader: the connection's goroutine
+// takes frames straight off the pipe's queue and waits on its condvar, and
+// since the queues grow on demand and shrink when drained, an idle pipe
+// holds almost no memory.
 type loopConn struct {
 	st   *loopState
 	w, r int // this end writes st.q[w], reads st.q[r]
-	peer *loopConn
-	note atomic.Pointer[schedConn] // scheduler handle, nil until start
 }
 
 func newLoopPipe() (Conn, Conn) {
 	st := &loopState{}
 	st.cond[0] = sync.NewCond(&st.mu)
 	st.cond[1] = sync.NewCond(&st.mu)
-	a := &loopConn{st: st, w: 0, r: 1}
-	b := &loopConn{st: st, w: 1, r: 0}
-	a.peer, b.peer = b, a
-	return a, b
-}
-
-// wake queues this end's scheduler registration, if any. Callers must not
-// hold st.mu: notify re-enters the scheduler shard lock.
-func (c *loopConn) wake() {
-	if sc := c.note.Load(); sc != nil {
-		sc.notify()
-	}
+	return &loopConn{st: st, w: 0, r: 1}, &loopConn{st: st, w: 1, r: 0}
 }
 
 // Send never blocks: the queue grows on demand, and the transport's
@@ -189,57 +174,21 @@ func (c *loopConn) Send(frame []byte) error {
 	st.q[c.w] = append(st.q[c.w], frame)
 	st.cond[c.w].Signal()
 	st.mu.Unlock()
-	c.peer.wake()
 	return nil
 }
 
-// Recv blocks for one frame — handshake-only once the connection is
-// registered with a scheduler (tryRecv is the runtime's path). Frames
-// queued before a close still drain, so an orderly shutdown delivers
-// responses already in flight.
-func (c *loopConn) Recv() ([]byte, error) {
+// Recv blocks for one frame. Frames queued before a close still drain, so
+// an orderly shutdown delivers responses already in flight.
+func (c *loopConn) Recv() ([]byte, error) { return c.next(nil, true) }
+
+// next is the frameReader side of Recv: with wait false it returns
+// (nil, nil) instead of blocking on an empty queue.
+func (c *loopConn) next(_ *netArena, wait bool) ([]byte, error) {
 	st := c.st
 	st.mu.Lock()
-	for st.head[c.r] == len(st.q[c.r]) && !st.closed {
+	for wait && st.head[c.r] == len(st.q[c.r]) && !st.closed {
 		st.cond[c.r].Wait()
 	}
-	f, ok := st.popLocked(c.r)
-	st.mu.Unlock()
-	if !ok {
-		return nil, errLoopClosed
-	}
-	return f, nil
-}
-
-func (c *loopConn) Close() error {
-	st := c.st
-	st.mu.Lock()
-	already := st.closed
-	st.closed = true
-	if !already {
-		st.cond[0].Broadcast()
-		st.cond[1].Broadcast()
-	}
-	st.mu.Unlock()
-	// Wake both scheduler registrations so parked connections observe the
-	// closure instead of sleeping on a dead pipe.
-	c.wake()
-	c.peer.wake()
-	return nil
-}
-
-// frameSource implementation: the scheduler polls the inbound queue
-// directly. The register-time notify kick picks up frames that landed
-// between the handshake and registration.
-
-func (c *loopConn) start(sc *schedConn) error {
-	c.note.Store(sc)
-	return nil
-}
-
-func (c *loopConn) tryRecv(*netArena) ([]byte, error) {
-	st := c.st
-	st.mu.Lock()
 	f, ok := st.popLocked(c.r)
 	closed := st.closed
 	st.mu.Unlock()
@@ -252,6 +201,15 @@ func (c *loopConn) tryRecv(*netArena) ([]byte, error) {
 	return nil, nil
 }
 
-func (c *loopConn) drained() {}
-
-func (c *loopConn) stop() {}
+func (c *loopConn) Close() error {
+	st := c.st
+	st.mu.Lock()
+	already := st.closed
+	st.closed = true
+	if !already {
+		st.cond[0].Broadcast()
+		st.cond[1].Broadcast()
+	}
+	st.mu.Unlock()
+	return nil
+}

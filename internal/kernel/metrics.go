@@ -40,7 +40,7 @@ const (
 	mNetRecvBytes
 	mNetTimeouts      // transport I/O classified ETIMEDOUT
 	mNetShed          // connections rejected at the MaxConns shed-load gate
-	mNetPollWakeups   // blocking EpollWait returns on parked shard workers
+	mNetPollWakeups   // TCP reads that parked in the netpoller and were woken
 	mNetEgressFlushes // egress-combiner flushes (writes to the connection)
 	mNetEgressFrames  // frames that left through the combiner
 	mLedgerFwdErrs    // audit→ledger forwards the ledger rejected
@@ -119,13 +119,9 @@ type kernelMetrics struct {
 	netDepth histogram
 	// netBatch samples remote submission batch sizes (ops per fSubmit).
 	netBatch histogram
-	// netConns gauges live transport connections (accepted + dialed);
-	// netQueued gauges connections currently queued for a scheduler worker.
-	// Gauges, not striped counters: they go down as well as up.
-	netConns  atomic.Int64
-	netQueued atomic.Int64
-	// netQueueLen samples per-shard run-queue depth at each enqueue.
-	netQueueLen histogram
+	// netConns gauges live transport connections (accepted + dialed): a
+	// gauge, not a striped counter, because it goes down as well as up.
+	netConns atomic.Int64
 }
 
 // add bumps a counter on the stripe selected by key (caller identity:
@@ -172,14 +168,14 @@ type MetricsSnapshot struct {
 	NetRecvs     uint64
 	NetRecvBytes uint64
 	NetTimeouts  uint64
-	// Transport runtime (event-driven scheduler).
+	// Transport runtime.
 	NetLiveConns   uint64 // gauge: established connections (accepted + dialed)
-	NetPoolDepth   uint64 // gauge: connections queued for a scheduler worker
 	NetShedRejects uint64 // connections rejected at the MaxConns gate
-	// Wakeup-free datapath: shard-worker poll wakeups and egress
-	// coalescing. A parked worker resuming from EpollWait counts one
-	// wakeup however many connections the return readies; frames-per-flush
-	// (NetEgressCoalescedFrames / NetEgressFlushes) measures coalescing.
+	// Datapath: netpoller wakeups and egress coalescing. NetPollWakeups
+	// counts TCP reads that parked in the runtime netpoller and were woken
+	// by data; a lockstep round trip costs 2, one per direction.
+	// Frames-per-flush (NetEgressCoalescedFrames / NetEgressFlushes)
+	// measures coalescing.
 	NetPollWakeups           uint64
 	NetEgressFlushes         uint64
 	NetEgressCoalescedFrames uint64
@@ -190,8 +186,9 @@ type MetricsSnapshot struct {
 	// in-flight depth seen by each request, and ops per remote batch.
 	NetInflightDepth HistogramSnapshot
 	NetBatchOps      HistogramSnapshot
-	// NetQueueLen distributes per-shard scheduler run-queue depth,
-	// observed at each enqueue.
+	// NetQueueLen is always empty: the runtime queues no connection for a
+	// worker. It stays for readers that still export it (perfbench's
+	// transport.queue_len_mean).
 	NetQueueLen HistogramSnapshot
 }
 
@@ -227,7 +224,6 @@ func (k *Kernel) Metrics() MetricsSnapshot {
 		NetRecvBytes:             m.total(mNetRecvBytes),
 		NetTimeouts:              m.total(mNetTimeouts),
 		NetLiveConns:             gauge(m.netConns.Load()),
-		NetPoolDepth:             gauge(m.netQueued.Load()),
 		NetShedRejects:           m.total(mNetShed),
 		NetPollWakeups:           m.total(mNetPollWakeups),
 		NetEgressFlushes:         m.total(mNetEgressFlushes),
@@ -236,7 +232,6 @@ func (k *Kernel) Metrics() MetricsSnapshot {
 		NetRequestNs:             m.netReqNs.snapshot(),
 		NetInflightDepth:         m.netDepth.snapshot(),
 		NetBatchOps:              m.netBatch.snapshot(),
-		NetQueueLen:              m.netQueueLen.snapshot(),
 	}
 	if l := k.led.Load(); l != nil {
 		ls := l.Stats()
@@ -276,7 +271,6 @@ func (s *MetricsSnapshot) render() string {
 	row("net_recv_bytes", s.NetRecvBytes)
 	row("net_timeouts", s.NetTimeouts)
 	row("net_conns", s.NetLiveConns)
-	row("net_pool_depth", s.NetPoolDepth)
 	row("net_shed_rejects", s.NetShedRejects)
 	row("net_poll_wakeups", s.NetPollWakeups)
 	row("net_egress_flushes", s.NetEgressFlushes)
@@ -300,6 +294,5 @@ func (s *MetricsSnapshot) render() string {
 	hist("net_request_ns", &s.NetRequestNs)
 	hist("net_inflight_depth", &s.NetInflightDepth)
 	hist("net_batch_ops", &s.NetBatchOps)
-	hist("net_queue_len", &s.NetQueueLen)
 	return b.String()
 }

@@ -9,7 +9,7 @@ import "container/list"
 // distinct labels stays memory-bounded, and an evicted entry just costs
 // one cold re-crossing. Callers provide their own synchronization (the
 // client table lives under Peer.sendMu; the server table is confined to
-// the connection's scheduler worker).
+// the connection's goroutine).
 type lruTable[V any] struct {
 	cap int
 	ll  *list.List // front = most recently used

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// FuzzFrameSplit drives the TCP source's user-space frame splitter with a
+// FuzzFrameSplit drives the TCP reader's user-space frame splitter with a
 // hostile byte stream delivered in arbitrary read sizes: it must never
 // panic, must return exactly the frames a plain length-prefix walk of the
 // whole stream finds, in order, and must fail only on an oversized length
@@ -39,10 +39,10 @@ func FuzzFrameSplit(f *testing.F) {
 			rest = rest[4+n:]
 		}
 
-		// The source: feed the stream in read-sized chunks (sizes from cuts,
+		// The reader: feed the stream in read-sized chunks (sizes from cuts,
 		// 0 meaning a full receive buffer), then cut until it holds no frame.
 		var (
-			ts  tcpSource
+			ts  tcpReader
 			ar  netArena
 			got [][]byte
 			err error

@@ -159,11 +159,11 @@ func (t *tcpConn) SendRaw(p []byte) error {
 	return nil
 }
 
-// Recv blocks for one frame. Post-handshake ingress does not come through
-// here on Linux: the event runtime's epoll source (netpoll_linux.go) reads
-// the socket directly, bypassing recvMu — safe because blocking Recv is
-// only used during the handshake, strictly before the connection is
-// registered with the scheduler.
+// Recv blocks for one frame. Post-handshake ingress comes through here
+// only where the raw reader does not build: on Linux the connection's
+// goroutine reads the socket directly (tcpreader_linux.go), bypassing
+// recvMu — safe because blocking Recv is then used only during the
+// handshake, strictly before that goroutine starts reading.
 func (t *tcpConn) Recv() ([]byte, error) {
 	t.recvMu.Lock()
 	defer t.recvMu.Unlock()

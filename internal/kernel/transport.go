@@ -47,21 +47,16 @@
 // strictly in arrival order, so the observable ordering semantics are
 // those of the lockstep protocol — only the waiting overlaps.
 //
-// Runtime. Connections are not goroutine-per-connection: every established
-// connection is registered with one of the node's sharded schedulers (see
-// sched.go) and is driven by a bounded worker pool — ingress workers run
-// the serving side (handlers included), a separate demux pool delivers
-// responses on dialed peers, so a handler making a nested remote call can
-// never starve its own response delivery. On Linux each shard worker owns
-// its own epoll instance and parks in EpollWait directly (netpoll_linux.go)
-// — socket readiness resumes the worker with no poller-thread handoff. An
-// idle connection costs a file descriptor and its registration, not a
-// goroutine stack. Frames arrive through per-shard pooled arenas, request
-// frames whose payload cannot escape the exchange are recycled after the
-// response is sent, and outbound frames leave through per-connection
-// egress combiners (egress.go): frames staged within one scheduling
-// quantum — responses, credit grants, pipelined requests — flush as a
-// single write at quantum end.
+// Runtime. Each established connection end runs on one goroutine of its
+// own (drive, driver.go): the serving side runs its handlers inline, and a
+// dialed peer's goroutine delivers responses to the callers waiting on
+// them. On Linux a TCP end reads its socket directly and waits in the
+// runtime netpoller (tcpreader_linux.go). Frames arrive in the end's pooled
+// arena, request frames whose payload cannot escape the exchange are
+// recycled after the response is sent, and outbound frames leave through
+// per-connection egress combiners (egress.go): frames staged during one
+// read burst — responses, credit grants — flush as a single write when the
+// burst ends.
 //
 // Flow control. Each side advertises a receive window in the handshake
 // (transport version 3) and every post-handshake non-credit frame consumes
@@ -84,12 +79,12 @@
 // pending-call table, the request-credit counter, and the channel free
 // list, and is a leaf — it is never held across I/O, encoding, or any
 // other lock; serverConn state (its egress combiner included) needs no
-// lock because the scheduler guarantees at most one worker runs a given
-// connection at a time. Credit frames ride the same egress combiners as
-// everything else: with sendMu never held across I/O, a stalled sender
-// cannot hold up a demux worker returning credits. Proxy teardown (conn
-// close, Node.Close) takes kernel registry locks only after every
-// transport lock is released.
+// lock because only the connection's own goroutine touches it. Credit
+// frames ride the same egress combiners as everything else: with sendMu
+// never held across I/O, a stalled sender cannot hold up a peer's
+// goroutine returning credits. Proxy teardown (conn close, Node.Close)
+// takes kernel registry locks only after every transport lock is
+// released.
 package kernel
 
 import (
@@ -121,6 +116,11 @@ var (
 	// peer's wire frame: the remote handler itself failed (EOK class, not
 	// a kernel ABI error). The original handler text follows the sentinel.
 	ErrRemoteHandler = errors.New("kernel: remote handler error")
+
+	// errOversized reports a request or response frame that would exceed
+	// maxNetFrame. Such a frame is never staged, so it fails only its own
+	// request, with EINVAL, and the connection stays up.
+	errOversized = errors.New("frame exceeds maximum size")
 )
 
 // Conn is a reliable, ordered, framed byte pipe between two nodes. Send
@@ -156,20 +156,16 @@ type Node struct {
 	exports   map[string]int // service name → public port id
 	trustedEK map[string]bool
 	listeners []Listener
-	conns     map[Conn]*schedConn // accepted conns; nil until registered
-	peers     map[*Peer]bool      // dialed connections, for Close
+	conns     map[Conn]bool  // accepted connections, for Close
+	peers     map[*Peer]bool // dialed connections, for Close
 	closed    bool
 
 	// nconns counts accepted connections (handshaking + established) for
 	// the shed-load gate.
 	nconns atomic.Int64
 
-	// ingress runs accepted connections (handlers included); demux delivers
-	// responses on dialed peers. Two pools so a handler blocked in a nested
-	// remote call cannot starve the delivery of the response it waits for.
-	ingress *connSched
-	demux   *connSched
-
+	// wg counts the node's goroutines: the accept loops and one per
+	// connection end.
 	wg sync.WaitGroup
 }
 
@@ -186,10 +182,8 @@ func NewNodeWithConfig(k *Kernel, cfg TransportConfig) *Node {
 		cfg:       cfg,
 		exports:   map[string]int{},
 		trustedEK: map[string]bool{},
-		conns:     map[Conn]*schedConn{},
+		conns:     map[Conn]bool{},
 		peers:     map[*Peer]bool{},
-		ingress:   newConnSched(cfg.Workers, k.metrics),
-		demux:     newConnSched(demuxWorkers(cfg.Workers), k.metrics),
 	}
 }
 
@@ -225,7 +219,8 @@ func (n *Node) TrustEK(ekFP string) {
 }
 
 // Serve starts accepting peer connections on the listener; it returns
-// immediately and serves through the scheduler until the node closes.
+// immediately and serves each connection on a goroutine of its own until
+// the node closes.
 // Beyond TransportConfig.MaxConns the node sheds load gracefully: the
 // connection is accepted, answered with a typed EAGAIN error frame, and
 // closed — the dialer sees a clean retryable error, never a silent drop.
@@ -265,7 +260,7 @@ func (n *Node) Serve(l Listener) {
 				c.Close()
 				return
 			}
-			n.conns[c] = nil
+			n.conns[c] = true
 			n.mu.Unlock()
 			n.nconns.Add(1)
 			n.k.metrics.netConns.Add(1)
@@ -288,14 +283,10 @@ func (n *Node) Close() {
 	ls := n.listeners
 	n.listeners = nil
 	conns := make([]Conn, 0, len(n.conns))
-	kicks := make([]*schedConn, 0, len(n.conns))
-	for c, sc := range n.conns {
+	for c := range n.conns {
 		conns = append(conns, c)
-		if sc != nil {
-			kicks = append(kicks, sc)
-		}
 	}
-	n.conns = map[Conn]*schedConn{}
+	n.conns = map[Conn]bool{}
 	peers := make([]*Peer, 0, len(n.peers))
 	for p := range n.peers {
 		peers = append(peers, p)
@@ -309,18 +300,10 @@ func (n *Node) Close() {
 	for _, c := range conns {
 		c.Close()
 	}
-	// Kick registered server conns: closing a TCP socket locally produces
-	// no epoll event, so a parked connection must be queued explicitly for
-	// its worker to observe the closed descriptor and tear it down.
-	for _, sc := range kicks {
-		sc.notify()
-	}
 	for _, p := range peers {
 		p.Close()
 	}
 	n.wg.Wait()
-	n.ingress.close()
-	n.demux.close()
 }
 
 // identity is one side's handshake material.
@@ -482,8 +465,8 @@ func deriveSessionKey(shared, cliNonce, srvNonce []byte) []byte {
 // originated on the authenticated peer — the property the cold path got
 // from the certificate signature itself. The keyed HMAC state and the
 // scratch buffers are cached per connection (confinement is the owner's:
-// Peer.sendMu on the dialing side, the scheduler worker on the serving
-// side), so a warm crossing computes its tag without allocating.
+// Peer.sendMu on the dialing side, the connection's goroutine on the
+// serving side), so a warm crossing computes its tag without allocating.
 type reTagger struct {
 	mac     hash.Hash
 	scratch []byte // string→bytes staging for the fingerprint
@@ -512,7 +495,7 @@ func (rt *reTagger) tag(callerPID int, fp string) []byte {
 
 // ---- Dialing side -------------------------------------------------------
 
-// netResp is one matched response as delivered by the demux worker.
+// netResp is one matched response as delivered by the peer's goroutine.
 type netResp struct {
 	typ     byte
 	payload []byte // after type byte and request id
@@ -523,8 +506,8 @@ type netResp struct {
 // may be outstanding (more fail with EAGAIN), matched to callers by
 // request id through the pending table. The egress codec tables (formula
 // remap, certificate dedup, re-attestation) are per-peer, guarded by
-// sendMu. Response frames are delivered by a demux-pool worker through
-// onFrame.
+// sendMu. The peer's own goroutine reads response frames and delivers them
+// through onFrame.
 type Peer struct {
 	n *Node
 	c Conn
@@ -561,7 +544,8 @@ type Peer struct {
 	maxInflight int
 	srvWin      int
 	// myWin is the window we advertised; respSeen counts responses
-	// delivered since the last credit return. Both are demux-confined.
+	// delivered since the last credit return. Both are confined to the
+	// peer's goroutine.
 	myWin    int
 	respSeen int
 
@@ -577,10 +561,6 @@ type Peer struct {
 	mkey uint64
 
 	closed atomic.Bool
-	// sconn is the demux-scheduler registration, stored after Dial
-	// registers the connection; fail() kicks it so a locally closed TCP
-	// socket (which produces no epoll event) still tears down promptly.
-	sconn atomic.Pointer[schedConn]
 }
 
 // connCounter hands out metrics stripe keys, one per connection in either
@@ -639,29 +619,16 @@ func (n *Node) Dial(t Transport, addr string) (*Peer, error) {
 	n.peers[p] = true
 	n.wg.Add(1)
 	n.mu.Unlock()
-	src := n.newFrameSource(c, n.demux)
-	sconn, err := n.demux.register(src, p.onFrame, nil, nil, func() {
+	n.k.metrics.netConns.Add(1)
+	go func() {
+		defer n.wg.Done()
+		drive(readerFor(c, n.k.metrics, p.mkey), p.onFrame, nil)
 		p.fail()
 		n.mu.Lock()
 		delete(n.peers, p)
 		n.mu.Unlock()
 		n.k.metrics.netConns.Add(-1)
-		n.wg.Done()
-	})
-	if err != nil {
-		n.mu.Lock()
-		delete(n.peers, p)
-		n.mu.Unlock()
-		n.wg.Done()
-		c.Close()
-		return nil, err
-	}
-	n.k.metrics.netConns.Add(1)
-	p.sconn.Store(sconn)
-	if p.closed.Load() {
-		// fail() raced the registration and may have missed the kick.
-		sconn.notify()
-	}
+	}()
 	return p, nil
 }
 
@@ -817,15 +784,9 @@ func (p *Peer) fail() {
 	for _, ch := range pend {
 		close(ch)
 	}
-	// Kick the demux registration: a locally closed TCP socket produces no
-	// epoll event, so the worker must be queued explicitly to observe the
-	// dead descriptor and run teardown.
-	if sc := p.sconn.Load(); sc != nil {
-		sc.notify()
-	}
 }
 
-// onFrame is the peer's demultiplexer, run by a demux-pool worker: it
+// onFrame is the peer's demultiplexer, run on the peer's goroutine: it
 // matches response frames to pending requests by id and absorbs fCredit
 // grants. Returning false tears the connection down — any torn frame,
 // malformed credit, or response to an id we never sent poisons the
@@ -882,8 +843,8 @@ func (p *Peer) onFrame(frame []byte, ar *netArena) bool {
 	ch <- netResp{typ: frame[0], payload: frame[1+r.off:]}
 	// Return receive credits in batches once half our window has been
 	// consumed. Credits ride the egress combiner like every other frame:
-	// sendMu is never held across I/O, so the demux worker waits at most
-	// for a caller's encoding, never for a stalled wire — and a credit
+	// sendMu is never held across I/O, so the peer's goroutine waits at
+	// most for a caller's encoding, never for a stalled wire — and a credit
 	// staged while a caller's flush is in flight coalesces into it.
 	p.respSeen++
 	if 2*p.respSeen >= p.myWin {
@@ -904,7 +865,7 @@ func (p *Peer) onFrame(frame []byte, ar *netArena) bool {
 
 // begin registers a new in-flight request: it allocates the id, checks the
 // in-flight window and the send-credit window, and returns the channel the
-// demux worker will deliver on. The depth histogram samples the
+// peer's goroutine will deliver on. The depth histogram samples the
 // pending-table size each request observes.
 func (p *Peer) begin(op string) (uint64, chan netResp, error) {
 	if p.closed.Load() {
@@ -956,9 +917,10 @@ func (p *Peer) putChan(ch chan netResp) {
 }
 
 // abort removes a pending entry whose request was never (fully) sent and
-// restores its send credit. A channel still in the table was never reached
-// by the demux worker (it removes entries before delivering) nor by fail()
-// (which empties the table before closing), so it is clean to pool.
+// restores its send credit. A channel still in the table was never
+// reached by the peer's goroutine (it removes entries before delivering)
+// nor by fail() (which empties the table before closing), so it is clean
+// to pool.
 func (p *Peer) abort(id uint64) {
 	p.pendMu.Lock()
 	if p.pending != nil {
@@ -1000,12 +962,17 @@ func (p *Peer) flushLocked() error {
 	return err
 }
 
-// commitFlush seals the frame begun on the egress combiner and flushes.
+// commitFlush seals the frame begun on the egress combiner and flushes; a
+// frame larger than maxNetFrame is abandoned instead (errOversized).
 // Called with sendMu held. The seal-and-flush path is pooled end to end
 // (pinned by TestAllocRemoteCallWarm).
 //
 //nexus:noalloc
 func (p *Peer) commitFlush(b []byte) error {
+	if p.eg.size(b) > maxNetFrame {
+		p.eg.abandon(b)
+		return errOversized
+	}
 	n := p.eg.commit(b)
 	m := p.n.k.metrics
 	m.add(p.mkey, mNetSends, 1)
@@ -1015,10 +982,15 @@ func (p *Peer) commitFlush(b []byte) error {
 
 // sendOwned stages one fully built frame (taking ownership of it) and
 // flushes — the batch-submission egress (pinned by
-// TestAllocSubmitRemoteBatchWarm).
+// TestAllocSubmitRemoteBatchWarm). A frame larger than maxNetFrame is
+// dropped instead (errOversized).
 //
 //nexus:noalloc
 func (p *Peer) sendOwned(frame []byte) error {
+	if len(frame) > maxNetFrame {
+		putFrameBuf(frame)
+		return errOversized
+	}
 	p.sendMu.Lock()
 	m := p.n.k.metrics
 	m.add(p.mkey, mNetSends, 1)
@@ -1039,7 +1011,7 @@ func (p *Peer) await(t0 time.Time, ch chan netResp, wantType byte) ([]byte, erro
 	if !ok {
 		return nil, ErrTransportClosed
 	}
-	// Delivery happened, so the demux worker already removed the channel
+	// Delivery happened, so the peer's goroutine already removed the channel
 	// from the pending table; it is single-use and clean to recycle.
 	p.putChan(ch)
 	p.n.k.metrics.netReqNs.observe(time.Since(t0))
@@ -1064,10 +1036,14 @@ func (p *Peer) await(t0 time.Time, ch chan netResp, wantType byte) ([]byte, erro
 	return resp.payload, nil
 }
 
-// sendErr wraps a failed send: abort our pending entry, poison the peer,
-// and surface ErrTransportClosed.
+// sendErr wraps a failed send and aborts our pending entry. An oversized
+// frame was never staged, so it fails only this request, with EINVAL; any
+// other failure poisons the peer and surfaces ErrTransportClosed.
 func (p *Peer) sendErr(id uint64, err error) error {
 	p.abort(id)
+	if err == errOversized {
+		return abiErr(EINVAL, "transport", err.Error())
+	}
 	p.fail()
 	return fmt.Errorf("%w: %v", ErrTransportClosed, err)
 }
@@ -1252,7 +1228,9 @@ type RemoteCred struct {
 // Frame assembly holds sendMu throughout: encoding inline credentials
 // advances the per-connection remap/dedup tables, and the server commits
 // the same state in arrival order — which, with sends serialized, is
-// assembly order.
+// assembly order. A frame that advanced those tables and then failed to
+// leave poisons the peer, because the two sides' numbering no longer
+// agrees.
 func (p *Peer) setProof(callerPID int, op, obj string, pf *proof.Proof, creds []RemoteCred) error {
 	id, ch, err := p.begin("setproof")
 	if err != nil {
@@ -1272,6 +1250,7 @@ func (p *Peer) setProof(callerPID int, op, obj string, pf *proof.Proof, creds []
 	}
 	b = appendNetString(b, text)
 	b = binary.AppendUvarint(b, uint64(len(creds)))
+	advanced := false
 	for i, c := range creds {
 		switch {
 		case c.Inline != nil:
@@ -1289,6 +1268,7 @@ func (p *Peer) setProof(callerPID int, op, obj string, pf *proof.Proof, creds []
 			}
 			b = append(b, wcInline)
 			b = appendNetBytes(b, body)
+			advanced = true
 		case c.Cert != nil:
 			fp := c.Cert.Fingerprint()
 			if idx, ok := p.certIdx[fp]; ok {
@@ -1298,6 +1278,7 @@ func (p *Peer) setProof(callerPID int, op, obj string, pf *proof.Proof, creds []
 				b = append(b, wcCert)
 				b = appendNetBytes(b, c.Cert.AppendWire(nil))
 				p.certIdx[fp] = uint64(len(p.certIdx) + 1)
+				advanced = true
 			}
 		default:
 			b = append(b, wcRef)
@@ -1306,6 +1287,11 @@ func (p *Peer) setProof(callerPID int, op, obj string, pf *proof.Proof, creds []
 	}
 	err = p.commitFlush(b)
 	p.sendMu.Unlock()
+	if err != nil && advanced {
+		p.abort(id)
+		p.fail()
+		return fmt.Errorf("%w: %v", ErrTransportClosed, err)
+	}
 	if err != nil {
 		return p.sendErr(id, err)
 	}
@@ -1323,9 +1309,8 @@ type xferEntry struct {
 	signer string
 }
 
-// serverConn is the per-connection ingress state. It needs no lock: the
-// scheduler guarantees at most one worker runs the connection at a time,
-// so every field below is confined to "whichever worker holds it".
+// serverConn is the per-connection ingress state. It needs no lock: every
+// field below is confined to the connection's goroutine.
 type serverConn struct {
 	n    *Node
 	k    *Kernel
@@ -1338,7 +1323,7 @@ type serverConn struct {
 	proxies map[int]*Process     // remote pid → proxy IPD
 	xferFPs *lruTable[xferEntry] // re-attestation table (fXferRe), LRU-bounded
 
-	// Flow control (worker-confined). advertWin is the receive window we
+	// Flow control. advertWin is the receive window we
 	// advertised — it bounds the backlog of unprocessed request frames.
 	// respCredits is the send window toward the client (initialized to its
 	// advertised window, replenished by its fCredit frames); when it hits
@@ -1356,8 +1341,8 @@ type serverConn struct {
 	sessKey []byte
 
 	// eg is the outbound combiner: responses and credit grants stage into
-	// it and flush at quantum end (or at its high-water mark). reTag
-	// verifies warm re-attestation tags. Both worker-confined.
+	// it and flush when the read burst ends (or at its high-water mark).
+	// reTag verifies warm re-attestation tags.
 	eg    *egress
 	reTag *reTagger
 
@@ -1370,12 +1355,11 @@ type serverConn struct {
 	mkey uint64
 }
 
-// serveConn runs the handshake on a transient goroutine, then hands the
-// established connection to the ingress scheduler and returns — from that
-// point the connection costs no goroutine. The Serve accept loop did
-// wg.Add(1); exactly one of the paths below (handshake failure,
-// registration failure, or the scheduler's onClose) pairs it with Done.
+// serveConn runs the handshake and then the established connection on the
+// goroutine Serve started for it, tearing the connection down when either
+// ends. The Serve accept loop did wg.Add(1); serveConn pairs it.
 func (n *Node) serveConn(c Conn) {
+	defer n.wg.Done()
 	sc := &serverConn{
 		n: n, k: n.k, c: c,
 		dec:       nal.NewWireDecoder(),
@@ -1384,38 +1368,16 @@ func (n *Node) serveConn(c Conn) {
 		advertWin: n.cfg.RecvWindow,
 		mkey:      connCounter.Add(1),
 	}
+	defer sc.teardown()
 	if err := sc.handshake(); err != nil {
 		if errors.Is(err, ErrTimeout) {
 			sc.k.metrics.add(sc.mkey, mNetTimeouts, 1)
 		}
-		sc.teardown()
-		n.wg.Done()
 		return
 	}
 	sc.eg = newEgress(c, n.k.metrics, sc.mkey)
 	sc.reTag = newReTagger(sc.sessKey)
-	src := n.newFrameSource(c, n.ingress)
-	sconn, err := n.ingress.register(src, sc.onFrame, sc.flushEgress, sc.park, func() {
-		sc.teardown()
-		n.wg.Done()
-	})
-	if err != nil {
-		sc.teardown()
-		n.wg.Done()
-		return
-	}
-	n.mu.Lock()
-	if _, ok := n.conns[c]; ok {
-		n.conns[c] = sconn
-	}
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
-		// Node.Close raced the registration: it closed c without finding a
-		// schedConn to kick, so kick ourselves (a locally closed TCP socket
-		// produces no epoll event).
-		sconn.notify()
-	}
+	drive(readerFor(c, n.k.metrics, sc.mkey), sc.onFrame, sc.idle)
 }
 
 // teardown exits every proxy this connection created and unregisters the
@@ -1433,8 +1395,8 @@ func (sc *serverConn) teardown() {
 	}
 }
 
-// onFrame is the connection's ingress entry point, run by a scheduler
-// worker. Credit frames replenish the response window immediately; every
+// onFrame is the connection's ingress entry point, run on its goroutine.
+// Credit frames replenish the response window immediately; every
 // other frame joins the FIFO backlog (so request ordering is preserved
 // across parking) and drain processes as many as the window allows.
 // Returning false tears the connection down.
@@ -1484,23 +1446,27 @@ func (sc *serverConn) drain(ar *netArena) bool {
 	return true
 }
 
-// flushEgress drains the connection's staged responses; the scheduler
-// calls it on every transition out of csRunning, so staged frames never
-// outlive the quantum that produced them. Flushing recycles through the
-// frame pool, never the allocator (pinned by TestAllocRemoteCallWarm).
+// idle runs when the connection has no further frame to read without
+// waiting: it flushes the staged responses, so they never outlive the read
+// burst that produced them, and releases oversized egress scratch, so a
+// waiting connection pins at most egressParkCap of staging memory.
+// Flushing recycles through the frame pool, never the allocator (pinned by
+// TestAllocRemoteCallWarm).
 //
 //nexus:noalloc
-func (sc *serverConn) flushEgress() bool { return sc.eg.flush() == nil }
-
-// park releases oversized egress scratch as the connection idles, so a
-// parked connection pins at most egressParkCap of staging memory.
-func (sc *serverConn) park() { sc.eg.trim() }
+func (sc *serverConn) idle() bool {
+	err := sc.eg.flush()
+	sc.eg.trim()
+	return err == nil
+}
 
 // process handles one request frame end to end: decode, dispatch, stage
 // the response on the egress combiner, recycle, and grant request credits
-// back to the client as the window half-empties. Responses flush at
-// quantum end (schedConn.run) or when staging crosses its high-water mark
-// — so a pipelined burst answered within one quantum leaves as one write.
+// back to the client as the window half-empties. Responses flush when the
+// read burst ends (drive) or when staging crosses its high-water mark — so
+// a pipelined burst answered in one pass leaves as one write. A response
+// larger than maxNetFrame is replaced by an EINVAL error frame for its
+// request.
 func (sc *serverConn) process(frame []byte, ar *netArena) bool {
 	m := sc.k.metrics
 	if len(frame) < 2 {
@@ -1514,6 +1480,10 @@ func (sc *serverConn) process(frame []byte, ar *netArena) bool {
 	}
 	b := sc.eg.begin()
 	b, fatal := sc.handle(b, typ, id, r)
+	if sc.eg.size(b) > maxNetFrame {
+		sc.eg.abandon(b)
+		b = appendErrFrame(sc.eg.begin(), id, "transport", abiErr(EINVAL, "transport", errOversized.Error()))
+	}
 	n := sc.eg.commit(b)
 	m.add(sc.mkey, mNetSends, 1)
 	m.add(sc.mkey, mNetSendBytes, uint64(n))
@@ -1521,14 +1491,14 @@ func (sc *serverConn) process(frame []byte, ar *netArena) bool {
 	if fatal {
 		// The ingress codec tables stopped at a prefix the client no
 		// longer agrees with; every later backreference could resolve
-		// silently wrong. Tear the connection down — the scheduler flushes
-		// staged egress (this error response included) before closing.
+		// silently wrong. Tear the connection down — drive flushes staged
+		// egress (this error response included) before closing.
 		return false
 	}
 	switch typ {
 	case fConnect, fCall, fSubmit, fXferRe:
 		// These request payloads cannot escape the exchange (everything
-		// retained is copied), so the buffer returns to the shard arena.
+		// retained is copied), so the buffer returns to the arena.
 		// fXfer and fSetProof are excluded: decoded certificates alias
 		// their frames and are retained in per-connection tables.
 		ar.put(frame)

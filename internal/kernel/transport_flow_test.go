@@ -20,14 +20,14 @@ func bootK(t *testing.T) *Kernel {
 	return k
 }
 
-// rawPair boots two nodes with the given configs, serves store over a
-// loopback transport, and returns an attested raw connection (handshake
-// completed, frames under test control) plus the dialing node's Peer.
-func rawPair(t *testing.T, cfgFront, cfgStore TransportConfig) (Conn, *Peer, *Node, *Node) {
+// rawPair boots two nodes with the given configs, serves store at "store"
+// over lt (a loopback transport, or one wrapping it), and returns an
+// attested raw connection (handshake completed, frames under test
+// control) plus the dialing node's Peer.
+func rawPair(t *testing.T, lt Transport, cfgFront, cfgStore TransportConfig) (Conn, *Peer, *Node, *Node) {
 	t.Helper()
 	front, store := bootK(t), bootK(t)
 	nStore := NewNodeWithConfig(store, cfgStore)
-	lt := NewLoopbackTransport()
 	l, err := lt.Listen("store")
 	if err != nil {
 		t.Fatal(err)
@@ -84,9 +84,6 @@ func recvResp(t *testing.T, c Conn) (uint64, error) {
 // maxRecvWindow clamp.
 func TestTransportConfigDefaults(t *testing.T) {
 	c := TransportConfig{}.withDefaults()
-	if want := max(2, runtime.GOMAXPROCS(0)); c.Workers != want {
-		t.Fatalf("Workers default %d, want %d", c.Workers, want)
-	}
 	if c.MaxInflight != DefaultMaxInflight || c.RecvWindow != DefaultRecvWindow ||
 		c.MaxConns != DefaultMaxConns || c.ReattestCap != DefaultReattestCap {
 		t.Fatalf("defaults not resolved: %+v", c)
@@ -95,7 +92,7 @@ func TestTransportConfigDefaults(t *testing.T) {
 	if over.RecvWindow != maxRecvWindow {
 		t.Fatalf("RecvWindow %d not clamped to %d", over.RecvWindow, maxRecvWindow)
 	}
-	if keep := (TransportConfig{Workers: 7, MaxInflight: 3, RecvWindow: 5, MaxConns: 9, ReattestCap: 2}).withDefaults(); keep != (TransportConfig{Workers: 7, MaxInflight: 3, RecvWindow: 5, MaxConns: 9, ReattestCap: 2}) {
+	if keep := (TransportConfig{MaxInflight: 3, RecvWindow: 5, MaxConns: 9, ReattestCap: 2}).withDefaults(); keep != (TransportConfig{MaxInflight: 3, RecvWindow: 5, MaxConns: 9, ReattestCap: 2}) {
 		t.Fatalf("explicit config not preserved: %+v", keep)
 	}
 }
@@ -132,11 +129,13 @@ func TestLRUTable(t *testing.T) {
 // backlog, resume exactly on credit, preserve FIFO order across parking —
 // and poison the connection when the client overruns the advertised
 // window.
-func TestSlowConsumerBackpressure(t *testing.T) { testSlowConsumerBackpressure(t) }
+func TestSlowConsumerBackpressure(t *testing.T) {
+	testSlowConsumerBackpressure(t, NewLoopbackTransport())
+}
 
-func testSlowConsumerBackpressure(t *testing.T) {
+func testSlowConsumerBackpressure(t *testing.T, lt Transport) {
 	const cliWin, srvWin = 4, 8
-	c, _, _, _ := rawPair(t,
+	c, _, _, _ := rawPair(t, lt,
 		TransportConfig{RecvWindow: cliWin},
 		TransportConfig{RecvWindow: srvWin})
 
@@ -201,11 +200,13 @@ func testSlowConsumerBackpressure(t *testing.T) {
 // the clamp must pin its response window at the client's advertised window,
 // so a subsequent flood still parks and the overrun still poisons — the
 // hostile grant must not unblock the stream past its window.
-func TestHostileCreditClampServer(t *testing.T) { testHostileCreditClampServer(t) }
+func TestHostileCreditClampServer(t *testing.T) {
+	testHostileCreditClampServer(t, NewLoopbackTransport())
+}
 
-func testHostileCreditClampServer(t *testing.T) {
+func testHostileCreditClampServer(t *testing.T, lt Transport) {
 	const cliWin, srvWin = 4, 8
-	c, _, _, _ := rawPair(t,
+	c, _, _, _ := rawPair(t, lt,
 		TransportConfig{RecvWindow: cliWin},
 		TransportConfig{RecvWindow: srvWin})
 
@@ -238,13 +239,15 @@ func testHostileCreditClampServer(t *testing.T) {
 }
 
 // TestHostileCreditClampClient forges oversized server grants into the
-// peer's demux entry point: reqCredits must clamp at the server's
+// peer's frame handler: reqCredits must clamp at the server's
 // advertised window.
-func TestHostileCreditClampClient(t *testing.T) { testHostileCreditClampClient(t) }
+func TestHostileCreditClampClient(t *testing.T) {
+	testHostileCreditClampClient(t, NewLoopbackTransport())
+}
 
-func testHostileCreditClampClient(t *testing.T) {
+func testHostileCreditClampClient(t *testing.T, lt Transport) {
 	const cliWin, srvWin = 4, 8
-	_, p, _, _ := rawPair(t,
+	_, p, _, _ := rawPair(t, lt,
 		TransportConfig{RecvWindow: cliWin},
 		TransportConfig{RecvWindow: srvWin})
 
@@ -280,12 +283,11 @@ func testHostileCreditClampClient(t *testing.T) {
 // re-transfer of the evicted label must fall back to the cold path (full
 // certificate) transparently — an eviction costs one re-crossing, never an
 // error.
-func TestReattestTableBounded(t *testing.T) { testReattestTableBounded(t) }
+func TestReattestTableBounded(t *testing.T) { testReattestTableBounded(t, NewLoopbackTransport()) }
 
-func testReattestTableBounded(t *testing.T) {
+func testReattestTableBounded(t *testing.T, lt Transport) {
 	front, store := bootK(t), bootK(t)
 	nStore := NewNodeWithConfig(store, TransportConfig{ReattestCap: 2})
-	lt := NewLoopbackTransport()
 	l, err := lt.Listen("store")
 	if err != nil {
 		t.Fatal(err)
@@ -414,48 +416,67 @@ func TestShedRejectionBeforeHello(t *testing.T) {
 	}
 }
 
-// TestTransportGoroutineFootprint is the tentpole's scaling gate: 1024
-// established idle connections must cost O(worker-pool) goroutines, not
-// O(connections) — connections are scheduler state, not stacks.
+// TestTransportGoroutineFootprint pins the runtime's goroutine contract
+// over loopback: one goroutine per established connection end (see
+// testGoroutineFootprint). TestTransportGoroutineFootprintTCP is its TCP
+// sibling; the Makefile leakcheck target runs both.
 func TestTransportGoroutineFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024 handshakes")
 	}
-	const numConns = 1024
+	testGoroutineFootprint(t, NewLoopbackTransport(), "store")
+}
+
+// footprintConns is the connection count of the footprint tests, and
+// footprintSlack the goroutines they allow beyond two per connection: the
+// serving node's accept loop plus room for a runtime helper.
+const (
+	footprintConns = 1024
+	footprintSlack = 4
+)
+
+// testGoroutineFootprint holds footprintConns idle connections over tr with
+// both ends in this process, so each costs exactly two goroutines: the
+// accepted end's and the dialed Peer's. It requires that count within
+// footprintSlack, a round trip on the first and the last connection, and
+// a return to the baseline count once both nodes close.
+func testGoroutineFootprint(t *testing.T, tr Transport, addr string) {
 	front, store := bootK(t), bootK(t)
 	baseline := settledGoroutines(0)
 
 	nStore := NewNode(store)
-	lt := NewLoopbackTransport()
-	l, err := lt.Listen("store")
+	l, err := tr.Listen(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nStore.Serve(l)
 	nFront := NewNode(front)
+	defer func() {
+		nFront.Close()
+		nStore.Close()
+	}()
 
-	peers := make([]*Peer, 0, numConns)
-	for i := 0; i < numConns; i++ {
-		p, err := nFront.Dial(lt, "store")
+	peers := make([]*Peer, 0, footprintConns)
+	for i := 0; i < footprintConns; i++ {
+		p, err := nFront.Dial(tr, l.Addr())
 		if err != nil {
 			t.Fatalf("dial %d: %v", i, err)
 		}
 		peers = append(peers, p)
 	}
-	if n := store.Metrics().NetLiveConns; n != numConns {
-		t.Fatalf("store NetLiveConns %d, want %d", n, numConns)
+	if n := store.Metrics().NetLiveConns; n != footprintConns {
+		t.Fatalf("store NetLiveConns %d, want %d", n, footprintConns)
 	}
 
-	// O(workers), not O(conns): both nodes' pools plus a constant.
-	idle := settledGoroutines(baseline + 32)
-	if idle-baseline > 32 {
-		t.Fatalf("%d goroutines for %d idle connections (baseline %d): footprint is O(connections)",
-			idle-baseline, numConns, baseline)
+	idle := settledGoroutines(baseline+2*footprintConns+footprintSlack) - baseline
+	if idle < 2*footprintConns || idle > 2*footprintConns+footprintSlack {
+		t.Fatalf("%d goroutines over baseline for %d idle connections, want %d to %d (two per connection)",
+			idle, footprintConns, 2*footprintConns, 2*footprintConns+footprintSlack)
 	}
 
 	// Liveness: connections picked from both ends of the dial order still
 	// serve round-trips (an unknown service is a full exchange).
-	for _, p := range []*Peer{peers[0], peers[numConns-1]} {
+	for _, p := range []*Peer{peers[0], peers[footprintConns-1]} {
 		if _, err := p.connect(1, "no-such-service"); err == nil {
 			t.Fatal("connect to unknown service succeeded")
 		} else if errors.Is(err, ErrTransportClosed) {
@@ -465,8 +486,7 @@ func TestTransportGoroutineFootprint(t *testing.T) {
 
 	nFront.Close()
 	nStore.Close()
-	after := settledGoroutines(baseline)
-	if after > baseline+4 {
+	if after := settledGoroutines(baseline); after > baseline {
 		t.Fatalf("%d goroutines after close, baseline %d: connection teardown leaks", after, baseline)
 	}
 }
@@ -490,10 +510,9 @@ func settledGoroutines(target int) int {
 	return last
 }
 
-// TestNodeConstructionNeverBlocks builds and closes 200 Nodes, each with
-// its own per-shard pollers, under a hard bound: constructing a Node must
-// not wait on any wakeup, so a blocking start-up path fails here in
-// seconds with every stack printed.
+// TestNodeConstructionNeverBlocks builds and closes 200 Nodes under a
+// hard bound: constructing a Node must not wait on any wakeup, so a
+// blocking start-up path fails here in seconds with every stack printed.
 func TestNodeConstructionNeverBlocks(t *testing.T) {
 	k := bootK(t)
 	done := make(chan struct{})

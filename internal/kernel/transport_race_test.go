@@ -115,9 +115,9 @@ func TestLoopbackTransportStress(t *testing.T) {
 
 	// Dial churn: extra connections come and go while the callers run —
 	// thousands of dial/call/close cycles, each racing the peer's Close
-	// against its own in-flight pipelined traffic. This is the event-driven
-	// runtime's registration/teardown gauntlet: every cycle exercises
-	// handshake, scheduler register, demux delivery, and unregister.
+	// against its own in-flight pipelined traffic. This is the runtime's
+	// start/teardown gauntlet: every cycle exercises handshake, the start of
+	// both ends' goroutines, response delivery, and teardown.
 	const churners = 2
 	const churnCycles = 500 // per churner
 	for g := 0; g < churners; g++ {
@@ -180,7 +180,7 @@ func TestLoopbackTransportStress(t *testing.T) {
 
 	// Goroutine-leak gate: after a thousand connection lifetimes and two
 	// node closes, the process is back to its pre-transport footprint —
-	// connections are scheduler state, not goroutine stacks.
+	// every connection end's goroutine has exited.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline+4 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
@@ -193,10 +193,10 @@ func TestLoopbackTransportStress(t *testing.T) {
 // TestTCPTransportStress is TestLoopbackTransportStress's TCP sibling: two
 // goroutines each run bounded cycles of Dial, Connect, CallRemote and
 // Close against one serving node. Every cycle frees descriptor numbers the
-// other goroutine's next dial reuses, so a teardown that touches epoll by
-// a number it no longer holds breaks a live connection here. No call may
-// fail, and the live-connection gauges and goroutine count must return to
-// their baselines.
+// other goroutine's next dial reuses, so a teardown or read that touches a
+// descriptor by a number it no longer holds breaks a live connection here.
+// No call may fail, and the live-connection gauges and goroutine count
+// must return to their baselines.
 func TestTCPTransportStress(t *testing.T) {
 	front, store := bootNode(t), bootNode(t)
 	baseline := runtime.NumGoroutine()

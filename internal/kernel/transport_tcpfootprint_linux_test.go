@@ -3,30 +3,24 @@
 package kernel
 
 import (
-	"errors"
 	"syscall"
 	"testing"
 )
 
-// TestTransportGoroutineFootprintTCP is the epoll datapath's scaling gate,
-// the TCP sibling of TestTransportGoroutineFootprint (the Makefile
-// leakcheck target runs both): 1024 established TCP connections must cost
-// O(worker-pool) goroutines. With the per-shard pollers owning the
-// sockets, an idle TCP connection is an epoll registration plus scheduler
-// state — not a blocked reader goroutine, which is exactly what the shim
-// fallback would cost per connection.
+// TestTransportGoroutineFootprintTCP is TestTransportGoroutineFootprint
+// over 1024 real TCP connections: one goroutine per connection end, each
+// parked in the runtime netpoller while idle.
 func TestTransportGoroutineFootprintTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024 TCP handshakes")
 	}
-	const numConns = 1024
 	// Both socket ends live in this process, so the test needs >2 FDs per
 	// connection; raise the soft RLIMIT_NOFILE if it has no headroom.
 	var rl syscall.Rlimit
-	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &rl); err == nil && rl.Cur < 4*numConns {
-		want := uint64(4 * numConns)
+	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &rl); err == nil && rl.Cur < 4*footprintConns {
+		want := uint64(4 * footprintConns)
 		if want > rl.Max {
-			t.Skipf("RLIMIT_NOFILE hard cap %d too low for %d TCP connections", rl.Max, numConns)
+			t.Skipf("RLIMIT_NOFILE hard cap %d too low for %d TCP connections", rl.Max, footprintConns)
 		}
 		old := rl
 		rl.Cur = want
@@ -39,51 +33,5 @@ func TestTransportGoroutineFootprintTCP(t *testing.T) {
 			}
 		})
 	}
-
-	front, store := bootK(t), bootK(t)
-	baseline := settledGoroutines(0)
-
-	nStore := NewNode(store)
-	var tr TCPTransport
-	tl, err := tr.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nStore.Serve(tl)
-	nFront := NewNode(front)
-
-	peers := make([]*Peer, 0, numConns)
-	for i := 0; i < numConns; i++ {
-		p, err := nFront.Dial(tr, tl.Addr())
-		if err != nil {
-			t.Fatalf("dial %d: %v", i, err)
-		}
-		peers = append(peers, p)
-	}
-	if n := store.Metrics().NetLiveConns; n != numConns {
-		t.Fatalf("store NetLiveConns %d, want %d", n, numConns)
-	}
-
-	idle := settledGoroutines(baseline + 32)
-	if idle-baseline > 32 {
-		t.Fatalf("%d goroutines for %d idle TCP connections (baseline %d): footprint is O(connections)",
-			idle-baseline, numConns, baseline)
-	}
-
-	// Liveness through the pollers: connections from both ends of the dial
-	// order still serve full round-trips.
-	for _, p := range []*Peer{peers[0], peers[numConns-1]} {
-		if _, err := p.connect(1, "no-such-service"); err == nil {
-			t.Fatal("connect to unknown service succeeded")
-		} else if errors.Is(err, ErrTransportClosed) {
-			t.Fatalf("idle TCP connection dead: %v", err)
-		}
-	}
-
-	nFront.Close()
-	nStore.Close()
-	after := settledGoroutines(baseline)
-	if after > baseline+4 {
-		t.Fatalf("%d goroutines after close, baseline %d: TCP connection teardown leaks", after, baseline)
-	}
+	testGoroutineFootprint(t, TCPTransport{}, "127.0.0.1:0")
 }

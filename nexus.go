@@ -196,7 +196,7 @@ type (
 	LoopbackTransport = kernel.LoopbackTransport
 	// TCPTransport is the TCP transport backend.
 	TCPTransport = kernel.TCPTransport
-	// TransportConfig sizes a node's event-driven transport runtime.
+	// TransportConfig sizes a node's transport runtime.
 	TransportConfig = kernel.TransportConfig
 	// RemoteCred is one credential in a remote proof registration.
 	RemoteCred = kernel.RemoteCred
