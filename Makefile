@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint lint-fix-hints build test race bench-smoke bench-json bench-parallel perfbench-check fuzz-smoke api-check api-update leakcheck
+.PHONY: check fmt vet lint lint-fix-hints build test race bench-smoke bench-json bench-compare bench-parallel perfbench-check fuzz-smoke api-check api-update leakcheck
 
 # check is the CI gate: formatting, static analysis (vet for linux, darwin
 # and windows, plus nexuslint), build, the full race suite, the
@@ -78,9 +78,23 @@ bench-smoke:
 
 # bench-json regenerates BENCH_net.json, BENCH_abi.json, BENCH_proof.json
 # and BENCH_ledger.json: five runs of each recorded benchmark, folded by
-# cmd/experiments into the median, min and max of every unit.
+# cmd/experiments into the median, min and max of every unit. Before it
+# replaces a file, cmd/experiments prints every row and unit whose new
+# median lies outside the file's min–max.
+BENCH_JSON_RUN = $(GO) test -run=XXX -bench='^Benchmark(Net|ABI|Proof|Ledger)$$' -benchmem -count=5 -timeout=30m . ./internal/ledger
+
 bench-json:
-	$(GO) test -run=XXX -bench='^Benchmark(Net|ABI|Proof|Ledger)$$' -benchmem -count=5 -timeout=30m . ./internal/ledger | $(GO) run ./cmd/experiments
+	$(BENCH_JSON_RUN) | $(GO) run ./cmd/experiments
+
+# bench-compare runs the bench-json benchmarks with cmd/experiments writing
+# into a temporary copy of the four committed BENCH files: it prints the
+# rows and units outside the committed min–max and leaves the committed
+# files untouched.
+bench-compare:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	cp BENCH_net.json BENCH_abi.json BENCH_proof.json BENCH_ledger.json "$$tmp" && \
+	$(GO) build -o "$$tmp/experiments" ./cmd/experiments && \
+	$(BENCH_JSON_RUN) | (cd "$$tmp" && ./experiments)
 
 # bench-parallel measures multi-core scaling of the authorization fast
 # paths: one table row per GOMAXPROCS.

@@ -13,7 +13,10 @@
 // The sub-benchmarks of BenchmarkNet, BenchmarkABI, BenchmarkProof and
 // BenchmarkLedger become the rows of BENCH_net.json, BENCH_abi.json,
 // BENCH_proof.json and BENCH_ledger.json in the current directory, under
-// the goos, goarch and cpu lines go test printed. Every other top-level
+// the goos, goarch and cpu lines go test printed. Before it replaces a
+// BENCH file that exists, it prints every row and unit whose new median
+// lies outside that file's min–max (make bench-compare runs this against
+// a copy of the committed files). Every other top-level
 // benchmark is printed as a table: a row is the name minus its last
 // element (plus -N when the table's rows ran at different GOMAXPROCS), a
 // column is that last element, and a cell is the median of the first
@@ -26,8 +29,10 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -136,16 +141,77 @@ func run(in io.Reader, out io.Writer, dir string) error {
 	for _, r := range byKey {
 		r.fold()
 	}
-	for name, bf := range files {
-		blob, err := json.MarshalIndent(bf, "", "  ")
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		path := filepath.Join(dir, name)
+		if err := compare(out, path, files[name]); err != nil {
+			return err
+		}
+		blob, err := json.MarshalIndent(files[name], "", "  ")
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), append(blob, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
 			return err
 		}
 	}
 	return printTables(out, tables)
+}
+
+// compare prints every row and unit of bf whose median lies outside the
+// min–max of the same row and unit in the BENCH file at path, if there is
+// one, and how many units that file has no range for.
+func compare(out io.Writer, path string, bf *benchFile) error {
+	blob, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	var prev benchFile
+	if err := json.Unmarshal(blob, &prev); err != nil {
+		return fmt.Errorf("%s: %v", path, err)
+	}
+	type key struct {
+		name  string
+		procs int
+	}
+	old := map[key]map[string]stat{}
+	for _, r := range prev.Rows {
+		old[key{r.Name, r.Procs}] = r.Units
+	}
+	tw := tabwriter.NewWriter(out, 0, 0, 2, ' ', 0)
+	outside, unranged, total := 0, 0, 0
+	for _, r := range bf.Rows {
+		name := r.Name
+		if r.Procs != 1 {
+			name += "-" + strconv.Itoa(r.Procs)
+		}
+		for _, unit := range r.order {
+			total++
+			now := r.Units[unit].Median
+			was, ok := old[key{r.Name, r.Procs}][unit]
+			switch {
+			case !ok:
+				unranged++
+			case now < was.Min || now > was.Max:
+				outside++
+				fmt.Fprintf(tw, "  %s\t%s\t%s\t[%s – %s]\n", name, unit, num(now), num(was.Min), num(was.Max))
+			}
+		}
+	}
+	fmt.Fprintf(out, "%s: %d of %d units outside the previous min–max, %d with no previous range\n",
+		filepath.Base(path), outside, total, unranged)
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	_, err = fmt.Fprintln(out)
+	return err
 }
 
 // newRow parses a benchmark name as go test prints it: a trailing -N is
@@ -187,11 +253,16 @@ func (r *row) cell() string {
 	if !ok {
 		return "-"
 	}
-	v := strconv.FormatFloat(s.Median, 'g', 4, 64)
-	if s.Median >= 1000 || s.Median <= -1000 {
-		v = strconv.FormatFloat(s.Median, 'f', 0, 64)
+	return num(s.Median) + " " + unit
+}
+
+// num formats a value to four significant digits, or to a whole number
+// from 1000 up.
+func num(v float64) string {
+	if v >= 1000 || v <= -1000 {
+		return strconv.FormatFloat(v, 'f', 0, 64)
 	}
-	return v + " " + unit
+	return strconv.FormatFloat(v, 'g', 4, 64)
 }
 
 // printTables prints one table per top-level benchmark, in the order the

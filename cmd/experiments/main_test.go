@@ -9,8 +9,10 @@ import (
 )
 
 // TestGolden converts testdata/bench.txt (-count 3, -cpu 1,4, a custom
-// unit) and compares the BENCH file and the tables with the committed
-// golden output. Only groups present in the input are written.
+// unit) over a previous BENCH_net.json (testdata/BENCH_net.prev.json) and
+// compares the BENCH file and the standard output — the report of units
+// outside the previous file's min–max, then the tables — with the
+// committed golden output. Only groups present in the input are written.
 func TestGolden(t *testing.T) {
 	in, err := os.Open("testdata/bench.txt")
 	if err != nil {
@@ -18,6 +20,13 @@ func TestGolden(t *testing.T) {
 	}
 	defer in.Close()
 	dir := t.TempDir()
+	prev, err := os.ReadFile("testdata/BENCH_net.prev.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_net.json"), prev, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var out bytes.Buffer
 	if err := run(in, &out, dir); err != nil {
 		t.Fatal(err)
@@ -31,7 +40,7 @@ func TestGolden(t *testing.T) {
 	}
 	for _, c := range []struct{ got, golden string }{
 		{filepath.Join(dir, "BENCH_net.json"), "testdata/BENCH_net.json"},
-		{"", "testdata/tables.txt"},
+		{"", "testdata/stdout.txt"},
 	} {
 		want, err := os.ReadFile(c.golden)
 		if err != nil {

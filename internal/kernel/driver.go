@@ -21,15 +21,6 @@ package kernel
 // TransportConfig sizes a Node's transport runtime. The zero value selects
 // every default; NewNode uses it.
 type TransportConfig struct {
-	// MaxInflight bounds the pipelined request window per dialed peer: at
-	// most this many requests may be outstanding before begin() fails with
-	// EAGAIN. Defaults to DefaultMaxInflight (128).
-	MaxInflight int
-	// RecvWindow is the credit-based receive window this node advertises
-	// per connection in the handshake: the peer may have at most this many
-	// unacknowledged frames toward us before it must stall. Defaults to
-	// DefaultRecvWindow (128); clamped to maxRecvWindow.
-	RecvWindow int
 	// MaxConns caps accepted connections (handshaking + established).
 	// Beyond it the node sheds load gracefully: accept, answer with a
 	// typed EAGAIN error frame, close — never a silent drop. Defaults to
@@ -44,28 +35,18 @@ type TransportConfig struct {
 
 // Transport-runtime defaults (see TransportConfig).
 const (
-	DefaultMaxInflight = 128
-	DefaultRecvWindow  = 128
 	DefaultMaxConns    = 1 << 17
 	DefaultReattestCap = 1024
 )
 
-// maxRecvWindow caps the advertised receive window, and with it the
-// request backlog a server holds and the frames a sender may have queued
-// in a loopback pipe.
-const maxRecvWindow = 192
+// maxInflight is the in-flight window of a dialed peer: at most this many
+// requests may be outstanding before begin fails with EAGAIN. Every frame
+// a server sends answers one of them, so the window bounds both directions
+// of a connection (DESIGN.md, "Backpressure").
+const maxInflight = 128
 
 // withDefaults resolves the zero fields.
 func (c TransportConfig) withDefaults() TransportConfig {
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = DefaultMaxInflight
-	}
-	if c.RecvWindow <= 0 {
-		c.RecvWindow = DefaultRecvWindow
-	}
-	if c.RecvWindow > maxRecvWindow {
-		c.RecvWindow = maxRecvWindow
-	}
 	if c.MaxConns <= 0 {
 		c.MaxConns = DefaultMaxConns
 	}
@@ -78,7 +59,7 @@ func (c TransportConfig) withDefaults() TransportConfig {
 // netArena is one connection end's free list of frame buffers, confined to
 // its goroutine. Frames are read into arena buffers, decoded in place, and
 // recycled after dispatch for frame types whose payload cannot outlive the
-// exchange (see serverConn.process), so a pipelined burst reuses its own
+// exchange (see serverConn.onFrame), so a pipelined burst reuses its own
 // buffers. The arena refills from and drains into the global framePool,
 // which couples the ingress recycle stream to the egress combiners.
 type netArena struct {

@@ -1,8 +1,8 @@
 // Egress coalescing: per-connection small-write combining.
 //
-// One read burst can produce several outbound frames — pipelined
-// responses, a credit grant — and writing each on its own costs one write
-// per frame. The egress combiner stages them and flushes once, when the
+// One read burst can produce several outbound frames — the responses to
+// pipelined requests — and writing each on its own costs one write per
+// frame. The egress combiner stages them and flushes once, when the
 // connection has no further frame to read without waiting (drive) or when
 // the staging buffer crosses its high-water mark. On a dialed peer every
 // caller flushes after staging, and frames staged while another caller's

@@ -194,62 +194,29 @@ func remoteFuzzConn(t *testing.T) Conn {
 	return remoteFuzz.c
 }
 
-// fuzzRecvResp reads the next response frame, skipping fCredit frames —
-// the server's flow-control grants are transport-level traffic interleaved
-// with responses, consumed by the peer's goroutine in real deployments.
-func fuzzRecvResp(c Conn) ([]byte, error) {
-	for {
-		resp, err := c.Recv()
-		if err != nil {
-			return nil, err
-		}
-		if len(resp) >= 1 && resp[0] == fCredit {
-			continue
-		}
-		return resp, nil
-	}
-}
-
 // FuzzRemoteSubmitFrame drives the serving side of the batched-submission
 // protocol with hostile frames on an attested connection: arbitrary request
-// id bytes, caller/port fields, batch payloads (including overflowing
-// count prefixes), and flow-control credit frames. The server must never
-// panic; it answers every parseable request with either a completion
-// vector or an fErr frame that echoes the request id and carries a valid
-// non-EOK errno, and tears the connection down (cleanly) only when the
-// request id is undecodable or a credit frame is malformed. A well-formed
-// hostile credit — however large — must neither poison the connection nor
-// unblock it past the advertised window (the server clamps).
+// id bytes, caller/port fields, and batch payloads (including overflowing
+// count prefixes). The server must never panic; it answers every parseable
+// request with either a completion vector or an fErr frame that echoes the
+// request id and carries a valid non-EOK errno, and tears the connection
+// down (cleanly) only when the request id is undecodable.
 func FuzzRemoteSubmitFrame(f *testing.F) {
 	valid := MarshalBatch([]*Msg{{Op: "read", Obj: "obj"}, {Op: "write", Obj: "obj", Args: [][]byte{[]byte("x")}}})
 	pp := binary.AppendUvarint(binary.AppendUvarint(nil, 7), 1)
-	f.Add([]byte{1}, append(append([]byte{}, pp...), valid...), []byte(nil))
-	f.Add([]byte{1}, append(append([]byte{}, pp...), 0xff, 0xff, 0xff, 0xff), []byte(nil)) // count overflow
+	f.Add([]byte{1}, append(append([]byte{}, pp...), valid...))
+	f.Add([]byte{1}, append(append([]byte{}, pp...), 0xff, 0xff, 0xff, 0xff)) // count overflow
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
-		append(append([]byte{}, pp...), valid...), []byte(nil)) // max uvarint id
-	f.Add([]byte{0x80, 0x80}, []byte{}, []byte(nil))                                // torn id
-	f.Add([]byte{2}, []byte{7, 1, 1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0}, []byte(nil)) // short msg
-	f.Add([]byte{1}, append(append([]byte{}, pp...), valid...), []byte{1})          // benign credit
-	f.Add([]byte{1}, append(append([]byte{}, pp...), valid...),
-		binary.AppendUvarint(nil, ^uint64(0))) // huge credit: clamped, not poisoned
-	f.Add([]byte{1}, append(append([]byte{}, pp...), valid...), []byte{0x80}) // torn credit uvarint
-	f.Add([]byte{1}, append(append([]byte{}, pp...), valid...), []byte{1, 2}) // trailing credit bytes
-	f.Fuzz(func(t *testing.T, idBytes, payload, credit []byte) {
-		if len(idBytes) > 10 || len(payload) > 4096 || len(credit) > 16 {
+		append(append([]byte{}, pp...), valid...)) // max uvarint id
+	f.Add([]byte{0x80, 0x80}, []byte{})                                // torn id
+	f.Add([]byte{2}, []byte{7, 1, 1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0}) // short msg
+	f.Fuzz(func(t *testing.T, idBytes, payload []byte) {
+		if len(idBytes) > 10 || len(payload) > 4096 {
 			return
 		}
 		remoteFuzz.mu.Lock()
 		defer remoteFuzz.mu.Unlock()
 		c := remoteFuzzConn(t)
-		creditOK := true
-		if len(credit) > 0 {
-			_, n := binary.Uvarint(credit)
-			creditOK = n > 0 && n == len(credit) // server rule: exact uvarint payload
-			if err := c.Send(append([]byte{fCredit}, credit...)); err != nil {
-				remoteFuzz.c = nil
-				return
-			}
-		}
 		frame := append([]byte{fSubmit}, idBytes...)
 		frame = append(frame, payload...)
 		// The server parses the request id from the full remainder, so the
@@ -260,23 +227,15 @@ func FuzzRemoteSubmitFrame(f *testing.F) {
 			remoteFuzz.c = nil // conn died earlier; next input redials
 			return
 		}
-		resp, err := fuzzRecvResp(c)
+		resp, err := c.Recv()
 		if err != nil {
 			// The server closed the connection: legal only when the request
-			// id was undecodable or the preceding credit frame malformed.
-			if idOK && creditOK {
-				t.Fatalf("server dropped a frame with a decodable request id % x (credit % x)", idBytes, credit)
+			// id was undecodable.
+			if idOK {
+				t.Fatalf("server dropped a frame with a decodable request id % x", idBytes)
 			}
 			remoteFuzz.c = nil
 			return
-		}
-		if !creditOK {
-			t.Fatalf("server answered after malformed credit frame % x", credit)
-		}
-		// Return the consumed response credit so the server's window never
-		// runs dry across iterations (the real peer's goroutine does the same).
-		if err := c.Send([]byte{fCredit, 1}); err != nil {
-			remoteFuzz.c = nil
 		}
 		if len(resp) < 2 {
 			t.Fatalf("torn response % x", resp)

@@ -158,9 +158,10 @@ func newLoopPipe() (Conn, Conn) {
 	return &loopConn{st: st, w: 0, r: 1}, &loopConn{st: st, w: 1, r: 0}
 }
 
-// Send never blocks: the queue grows on demand, and the transport's
-// credit window (each side advertises at most maxRecvWindow) bounds how
-// deep a protocol-abiding peer can make it.
+// Send never blocks: the queue grows on demand. A dialed peer's in-flight
+// window bounds how deep the two ends of a Node connection make it, but
+// nothing bounds a peer that sends requests and never reads its responses
+// (DESIGN.md, "Backpressure").
 func (c *loopConn) Send(frame []byte) error {
 	if len(frame) > maxNetFrame {
 		return errors.New("kernel: frame exceeds maximum size")

@@ -72,9 +72,8 @@ func (s *Session) CallRemote(c Cap, m *Msg) ([]byte, error) {
 // The contract matches Submit: comps is reused when it has capacity,
 // per-op failures land in Completion.Err, and the error return is reserved
 // for submission-level failures — context cancellation, a full in-flight
-// window or exhausted send credits (both EAGAIN), or the connection failing
-// mid-exchange, in which case every shipped operation's Completion.Err
-// carries the transport error.
+// window (EAGAIN), or the connection failing mid-exchange, in which case
+// every shipped operation's Completion.Err carries the transport error.
 func (s *Session) SubmitRemote(ctx context.Context, c Cap, subs []Sub, comps []Completion) ([]Completion, error) {
 	sl, ok := s.ht.lookup(c)
 	if !ok || sl.kind != capRemote || sl.peer == nil {

@@ -171,7 +171,8 @@ func (t *tcpReader) cut(ar *netArena) ([]byte, error) {
 
 // hold appends b, bytes read but not yet returned as a frame, to what the
 // connection holds, moving the held bytes into a larger arena buffer when
-// they do not fit (doubling, so a large frame assembles in linear time).
+// they do not fit (doubling) and to the front of the buffer only when a
+// frame was cut from it, so a large frame assembles in linear time.
 func (t *tcpReader) hold(b []byte, ar *netArena) {
 	if len(b) == 0 {
 		return
@@ -184,7 +185,7 @@ func (t *tcpReader) hold(b []byte, ar *netArena) {
 			ar.put(t.pend)
 		}
 		t.pend = buf
-	} else {
+	} else if t.off > 0 {
 		t.pend = append(t.pend[:0], held...) // compact: the copy may overlap
 	}
 	t.pend = append(t.pend, b...)

@@ -40,12 +40,12 @@
 // cross-node speaker spoofing and is rejected before it reaches a
 // labelstore.
 //
-// Pipelining. After the handshake every non-credit frame carries a request
-// id. The dialing side keeps a pending-call table and may have up to
-// TransportConfig.MaxInflight requests outstanding; the window full
-// condition surfaces as EAGAIN. The serving side processes requests
-// strictly in arrival order, so the observable ordering semantics are
-// those of the lockstep protocol — only the waiting overlaps.
+// Pipelining. After the handshake every frame carries a request id. The
+// dialing side keeps a pending-call table and may have up to maxInflight
+// requests outstanding; the window full condition surfaces as EAGAIN. The
+// serving side processes requests strictly in arrival order, so the
+// observable ordering semantics are those of the lockstep protocol — only
+// the waiting overlaps.
 //
 // Runtime. Each established connection end runs on one goroutine of its
 // own (drive, driver.go): the serving side runs its handlers inline, and a
@@ -54,19 +54,17 @@
 // runtime netpoller (tcpreader_linux.go). Frames arrive in the end's pooled
 // arena, request frames whose payload cannot escape the exchange are
 // recycled after the response is sent, and outbound frames leave through
-// per-connection egress combiners (egress.go): frames staged during one
-// read burst — responses, credit grants — flush as a single write when the
-// burst ends.
+// per-connection egress combiners (egress.go): the responses staged during
+// one read burst flush as a single write when the burst ends.
 //
-// Flow control. Each side advertises a receive window in the handshake
-// (transport version 3) and every post-handshake non-credit frame consumes
-// one send credit toward the peer; credits return in batches via fCredit
-// frames, which are exempt from the accounting. A client with no credits
-// fails fast with EAGAIN (same taxonomy as the in-flight window); a server
-// with no credits parks the connection's pending requests in a bounded
-// backlog — bounded because a peer that overruns the advertised window is
-// committing a protocol violation and is poisoned. A slow consumer
-// therefore stalls its own stream while the kernel's memory stays bounded.
+// Backpressure. The in-flight window is the only bound on a connection.
+// The server handles each request as it reads it and keeps no backlog, and
+// every frame it sends answers a pending request, so the window bounds
+// both directions. A dialed peer's goroutine only reads and delivers: it
+// never writes, so it always drains the responses a server is blocked
+// writing, and the two ends cannot wait on each other's writes. A peer
+// that stops reading stalls its own connection's goroutine in a write, and
+// nothing else.
 //
 // Locking (leaf-ward order, see DESIGN.md "Remote fast path"): Node.mu
 // guards the export/listener/peer tables and is never held across
@@ -76,15 +74,13 @@
 // the wire write itself — the combining flusher (flushLocked) releases it
 // around the write, so sendMu orders only against the frame-pool lock
 // (kernel.Peer.sendMu → kernel.bufPool.mu); Peer.pendMu guards the
-// pending-call table, the request-credit counter, and the channel free
-// list, and is a leaf — it is never held across I/O, encoding, or any
-// other lock; serverConn state (its egress combiner included) needs no
-// lock because only the connection's own goroutine touches it. Credit
-// frames ride the same egress combiners as everything else: with sendMu
-// never held across I/O, a stalled sender cannot hold up a peer's
-// goroutine returning credits. Proxy teardown (conn close, Node.Close)
-// takes kernel registry locks only after every transport lock is
-// released.
+// pending-call table and the channel free list, and is a leaf — it is
+// never held across I/O, encoding, or any other lock; serverConn state
+// (its egress combiner included) needs no lock because only the
+// connection's own goroutine touches it. A dialed peer's goroutine takes
+// only pendMu: sendMu belongs to the callers. Proxy teardown (conn close,
+// Node.Close) takes kernel registry locks only after every transport lock
+// is released.
 package kernel
 
 import (
@@ -404,14 +400,12 @@ func (n *Node) verifyIdentity(r *netCursor) (*identity, error) {
 }
 
 // helloDigest is the proof-of-possession transcript digest: role-tagged so
-// a reflected signature cannot stand in for the other side's, covering
+// a reflected signature cannot stand in for the other side's, and covering
 // both ephemeral X25519 keys so a man-in-the-middle cannot splice its own
-// key agreement into an otherwise authentic handshake, and covering both
-// advertised receive windows so an attacker cannot shrink (or inflate) a
-// side's flow-control window without breaking a signature.
-func helloDigest(role string, nonce, cliEph, srvEph []byte, cliWin, srvWin int) [32]byte {
+// key agreement into an otherwise authentic handshake.
+func helloDigest(role string, nonce, cliEph, srvEph []byte) [32]byte {
 	h := sha256.New()
-	h.Write([]byte("nexus-transport-hello/3/"))
+	h.Write([]byte("nexus-transport-hello/4/"))
 	h.Write([]byte(role))
 	h.Write([]byte{0})
 	h.Write(nonce)
@@ -419,31 +413,23 @@ func helloDigest(role string, nonce, cliEph, srvEph []byte, cliWin, srvWin int) 
 	h.Write(cliEph)
 	h.Write([]byte{0})
 	h.Write(srvEph)
-	h.Write([]byte{0})
-	var w [16]byte
-	binary.LittleEndian.PutUint64(w[:8], uint64(cliWin))
-	binary.LittleEndian.PutUint64(w[8:], uint64(srvWin))
-	h.Write(w[:])
 	var d [32]byte
 	h.Sum(d[:0])
 	return d
 }
 
-func signHello(key ed25519.PrivateKey, role string, nonce, cliEph, srvEph []byte, cliWin, srvWin int) []byte {
-	d := helloDigest(role, nonce, cliEph, srvEph, cliWin, srvWin)
+func signHello(key ed25519.PrivateKey, role string, nonce, cliEph, srvEph []byte) []byte {
+	d := helloDigest(role, nonce, cliEph, srvEph)
 	return ed25519.Sign(key, d[:])
 }
 
-func verifyHello(pub ed25519.PublicKey, role string, nonce, cliEph, srvEph, sig []byte, cliWin, srvWin int) error {
-	d := helloDigest(role, nonce, cliEph, srvEph, cliWin, srvWin)
+func verifyHello(pub ed25519.PublicKey, role string, nonce, cliEph, srvEph, sig []byte) error {
+	d := helloDigest(role, nonce, cliEph, srvEph)
 	if !ed25519.Verify(pub, d[:], sig) {
 		return fmt.Errorf("%w: transcript signature invalid", ErrBadPeer)
 	}
 	return nil
 }
-
-// validWindow checks an advertised receive window against protocol bounds.
-func validWindow(w uint64) bool { return w >= 1 && w <= maxRecvWindow }
 
 // deriveSessionKey produces the per-connection symmetric key from the
 // X25519 shared secret and both handshake nonces. Both sides compute the
@@ -502,12 +488,12 @@ type netResp struct {
 }
 
 // Peer is a verified connection to a remote node, usable by any session on
-// this kernel. Requests are pipelined: up to TransportConfig.MaxInflight
-// may be outstanding (more fail with EAGAIN), matched to callers by
-// request id through the pending table. The egress codec tables (formula
-// remap, certificate dedup, re-attestation) are per-peer, guarded by
-// sendMu. The peer's own goroutine reads response frames and delivers them
-// through onFrame.
+// this kernel. Requests are pipelined: up to maxInflight may be
+// outstanding (more fail with EAGAIN), matched to callers by request id
+// through the pending table. The egress codec tables (formula remap,
+// certificate dedup, re-attestation) are per-peer, guarded by sendMu. The
+// peer's own goroutine reads response frames and delivers them through
+// onFrame; it never writes.
 type Peer struct {
 	n *Node
 	c Conn
@@ -525,29 +511,13 @@ type Peer struct {
 	flushing bool              // a combining flush is in progress (sendMu)
 	reTag    *reTagger         // warm re-attestation tags (sendMu)
 
-	// pendMu guards the pending-call table, the request-credit counter, and
-	// the response-channel free list; it is a leaf lock, never held across
-	// I/O or any other lock.
+	// pendMu guards the pending-call table and the response-channel free
+	// list; it is a leaf lock, never held across I/O or any other lock.
 	pendMu   sync.Mutex
 	pending  map[uint64]chan netResp
 	chanFree []chan netResp // pooled single-use response channels
 	nextID   uint64
 	poisoned bool
-	// reqCredits is the send window toward the server: initialized to the
-	// server's advertised receive window, consumed one per request frame,
-	// replenished by inbound fCredit frames (clamped at the advertised
-	// window, so a hostile over-grant cannot widen the stream).
-	reqCredits int
-
-	// maxInflight and srvWin are this connection's resolved limits:
-	// the pipelined-request cap and the server's advertised window.
-	maxInflight int
-	srvWin      int
-	// myWin is the window we advertised; respSeen counts responses
-	// delivered since the last credit return. Both are confined to the
-	// peer's goroutine.
-	myWin    int
-	respSeen int
 
 	// sessKey is the handshake-derived session key (see deriveSessionKey).
 	sessKey []byte
@@ -647,10 +617,8 @@ func (n *Node) handshakeClient(c Conn) (*Peer, error) {
 		return nil, err
 	}
 	ephPub := eph.PublicKey().Bytes()
-	myWin := n.cfg.RecvWindow
 	frame := []byte{fHello, transportVersion}
 	frame = appendIdentity(frame, self)
-	frame = binary.AppendUvarint(frame, uint64(myWin))
 	frame = appendNetBytes(frame, nonce)
 	frame = appendNetBytes(frame, ephPub)
 	if err := c.Send(frame); err != nil {
@@ -676,10 +644,6 @@ func (n *Node) handshakeClient(c Conn) (*Peer, error) {
 	if err != nil {
 		return nil, err
 	}
-	srvWin, ok := r.uvarint()
-	if !ok || !validWindow(srvWin) {
-		return nil, ErrBadPeer
-	}
 	srvNonce, ok := r.bytes()
 	if !ok {
 		return nil, ErrBadPeer
@@ -692,7 +656,7 @@ func (n *Node) handshakeClient(c Conn) (*Peer, error) {
 	if !ok || !r.done() {
 		return nil, ErrBadPeer
 	}
-	if err := verifyHello(peer.nkPub, "server", nonce, ephPub, srvEphRaw, sig, myWin, int(srvWin)); err != nil {
+	if err := verifyHello(peer.nkPub, "server", nonce, ephPub, srvEphRaw, sig); err != nil {
 		return nil, err
 	}
 	srvEph, err := ecdh.X25519().NewPublicKey(srvEphRaw)
@@ -703,7 +667,7 @@ func (n *Node) handshakeClient(c Conn) (*Peer, error) {
 	if err != nil {
 		return nil, ErrBadPeer
 	}
-	ackSig := signHello(n.k.NK, "client", srvNonce, ephPub, srvEphRaw, myWin, int(srvWin))
+	ackSig := signHello(n.k.NK, "client", srvNonce, ephPub, srvEphRaw)
 	ack := []byte{fHelloAck}
 	ack = appendNetBytes(ack, ackSig)
 	if err := c.Send(ack); err != nil {
@@ -713,22 +677,18 @@ func (n *Node) handshakeClient(c Conn) (*Peer, error) {
 	mkey := connCounter.Add(1)
 	return &Peer{
 		n: n, c: c,
-		enc:         nal.NewWireEncoder(),
-		certIdx:     map[string]uint64{},
-		attested:    newLRUTable[bool](n.cfg.ReattestCap),
-		eg:          newEgress(c, n.k.metrics, mkey),
-		reTag:       newReTagger(sessKey),
-		pending:     map[uint64]chan netResp{},
-		reqCredits:  int(srvWin),
-		maxInflight: n.cfg.MaxInflight,
-		srvWin:      int(srvWin),
-		myWin:       myWin,
-		sessKey:     sessKey,
-		prin:        peer.prin(),
-		nkFP:        peer.nkFP,
-		ekFP:        peer.ekFP,
-		bootID:      peer.bootID,
-		mkey:        mkey,
+		enc:      nal.NewWireEncoder(),
+		certIdx:  map[string]uint64{},
+		attested: newLRUTable[bool](n.cfg.ReattestCap),
+		eg:       newEgress(c, n.k.metrics, mkey),
+		reTag:    newReTagger(sessKey),
+		pending:  map[uint64]chan netResp{},
+		sessKey:  sessKey,
+		prin:     peer.prin(),
+		nkFP:     peer.nkFP,
+		ekFP:     peer.ekFP,
+		bootID:   peer.bootID,
+		mkey:     mkey,
 	}, nil
 }
 
@@ -787,39 +747,21 @@ func (p *Peer) fail() {
 }
 
 // onFrame is the peer's demultiplexer, run on the peer's goroutine: it
-// matches response frames to pending requests by id and absorbs fCredit
-// grants. Returning false tears the connection down — any torn frame,
-// malformed credit, or response to an id we never sent poisons the
+// matches response frames to pending requests by id. It never writes to
+// the connection, so the goroutine keeps draining responses however the
+// server's writes are blocked. Returning false tears the connection down —
+// any torn frame or response to an id we never sent poisons the
 // connection, because once a frame may have been lost the per-connection
 // codec tables on the two sides can disagree, and a desynced table would
 // resolve backreferences to the wrong values silently. Poisoning turns
 // that silent corruption into ErrTransportClosed.
 //
 // Response payloads escape to the waiting caller, so response frames are
-// never recycled into the arena; credit frames are.
-func (p *Peer) onFrame(frame []byte, ar *netArena) bool {
+// never recycled into the arena.
+func (p *Peer) onFrame(frame []byte, _ *netArena) bool {
 	m := p.n.k.metrics
 	m.add(p.mkey, mNetRecvs, 1)
 	m.add(p.mkey, mNetRecvBytes, uint64(len(frame)))
-	if len(frame) >= 1 && frame[0] == fCredit {
-		r := &netCursor{buf: frame[1:]}
-		nc, ok := r.uvarint()
-		if !ok || !r.done() {
-			return false
-		}
-		p.pendMu.Lock()
-		// Clamp at the advertised window: a hostile or buggy over-grant
-		// must never unblock the stream past what the server advertised.
-		// The comparison order is overflow-safe for any uint64 count.
-		if nc >= uint64(p.srvWin) || p.reqCredits+int(nc) > p.srvWin {
-			p.reqCredits = p.srvWin
-		} else {
-			p.reqCredits += int(nc)
-		}
-		p.pendMu.Unlock()
-		ar.put(frame)
-		return true
-	}
 	if len(frame) < 2 {
 		return false
 	}
@@ -841,31 +783,12 @@ func (p *Peer) onFrame(frame []byte, ar *netArena) bool {
 		return false
 	}
 	ch <- netResp{typ: frame[0], payload: frame[1+r.off:]}
-	// Return receive credits in batches once half our window has been
-	// consumed. Credits ride the egress combiner like every other frame:
-	// sendMu is never held across I/O, so the peer's goroutine waits at
-	// most for a caller's encoding, never for a stalled wire — and a credit
-	// staged while a caller's flush is in flight coalesces into it.
-	p.respSeen++
-	if 2*p.respSeen >= p.myWin {
-		grant := uint64(p.respSeen)
-		p.respSeen = 0
-		p.sendMu.Lock()
-		b := p.eg.begin()
-		b = append(b, fCredit)
-		b = binary.AppendUvarint(b, grant)
-		err := p.commitFlush(b)
-		p.sendMu.Unlock()
-		if err != nil {
-			return false
-		}
-	}
 	return true
 }
 
 // begin registers a new in-flight request: it allocates the id, checks the
-// in-flight window and the send-credit window, and returns the channel the
-// peer's goroutine will deliver on. The depth histogram samples the
+// in-flight window, and returns the channel the peer's goroutine will
+// deliver on. The depth histogram samples the
 // pending-table size each request observes.
 func (p *Peer) begin(op string) (uint64, chan netResp, error) {
 	if p.closed.Load() {
@@ -876,13 +799,9 @@ func (p *Peer) begin(op string) (uint64, chan netResp, error) {
 		p.pendMu.Unlock()
 		return 0, nil, ErrTransportClosed
 	}
-	if len(p.pending) >= p.maxInflight {
+	if len(p.pending) >= maxInflight {
 		p.pendMu.Unlock()
 		return 0, nil, abiErr(EAGAIN, op, "transport in-flight window full")
-	}
-	if p.reqCredits <= 0 {
-		p.pendMu.Unlock()
-		return 0, nil, abiErr(EAGAIN, op, "transport send window exhausted")
 	}
 	var ch chan netResp
 	if n := len(p.chanFree); n > 0 {
@@ -893,7 +812,6 @@ func (p *Peer) begin(op string) (uint64, chan netResp, error) {
 		//nexus:coldpath — the free list warms up to the in-flight window.
 		ch = make(chan netResp, 1)
 	}
-	p.reqCredits--
 	p.nextID++
 	id := p.nextID
 	p.pending[id] = ch
@@ -910,24 +828,22 @@ func (p *Peer) begin(op string) (uint64, chan netResp, error) {
 // drains the table under.
 func (p *Peer) putChan(ch chan netResp) {
 	p.pendMu.Lock()
-	if !p.poisoned && len(p.chanFree) < p.maxInflight {
+	if !p.poisoned && len(p.chanFree) < maxInflight {
 		p.chanFree = append(p.chanFree, ch)
 	}
 	p.pendMu.Unlock()
 }
 
-// abort removes a pending entry whose request was never (fully) sent and
-// restores its send credit. A channel still in the table was never
-// reached by the peer's goroutine (it removes entries before delivering)
-// nor by fail() (which empties the table before closing), so it is clean
-// to pool.
+// abort removes a pending entry whose request was never (fully) sent. A
+// channel still in the table was never reached by the peer's goroutine (it
+// removes entries before delivering) nor by fail() (which empties the
+// table before closing), so it is clean to pool.
 func (p *Peer) abort(id uint64) {
 	p.pendMu.Lock()
 	if p.pending != nil {
 		if ch, ok := p.pending[id]; ok {
 			delete(p.pending, id)
-			p.reqCredits++
-			if !p.poisoned && len(p.chanFree) < p.maxInflight {
+			if !p.poisoned && len(p.chanFree) < maxInflight {
 				p.chanFree = append(p.chanFree, ch)
 			}
 		}
@@ -1323,25 +1239,11 @@ type serverConn struct {
 	proxies map[int]*Process     // remote pid → proxy IPD
 	xferFPs *lruTable[xferEntry] // re-attestation table (fXferRe), LRU-bounded
 
-	// Flow control. advertWin is the receive window we
-	// advertised — it bounds the backlog of unprocessed request frames.
-	// respCredits is the send window toward the client (initialized to its
-	// advertised window, replenished by its fCredit frames); when it hits
-	// zero the connection parks its requests in the backlog instead of
-	// sending responses the client has no room for. served counts requests
-	// answered since the last credit grant back to the client.
-	advertWin   int
-	cliWin      int
-	respCredits int
-	served      int
-	backlog     [][]byte
-	backlogHead int
-
 	// sessKey is the handshake-derived session key shared with the peer.
 	sessKey []byte
 
-	// eg is the outbound combiner: responses and credit grants stage into
-	// it and flush when the read burst ends (or at its high-water mark).
+	// eg is the outbound combiner: responses stage into it and flush when
+	// the read burst ends (or at its high-water mark).
 	// reTag verifies warm re-attestation tags.
 	eg    *egress
 	reTag *reTagger
@@ -1362,11 +1264,10 @@ func (n *Node) serveConn(c Conn) {
 	defer n.wg.Done()
 	sc := &serverConn{
 		n: n, k: n.k, c: c,
-		dec:       nal.NewWireDecoder(),
-		proxies:   map[int]*Process{},
-		xferFPs:   newLRUTable[xferEntry](n.cfg.ReattestCap),
-		advertWin: n.cfg.RecvWindow,
-		mkey:      connCounter.Add(1),
+		dec:     nal.NewWireDecoder(),
+		proxies: map[int]*Process{},
+		xferFPs: newLRUTable[xferEntry](n.cfg.ReattestCap),
+		mkey:    connCounter.Add(1),
 	}
 	defer sc.teardown()
 	if err := sc.handshake(); err != nil {
@@ -1395,57 +1296,6 @@ func (sc *serverConn) teardown() {
 	}
 }
 
-// onFrame is the connection's ingress entry point, run on its goroutine.
-// Credit frames replenish the response window immediately; every
-// other frame joins the FIFO backlog (so request ordering is preserved
-// across parking) and drain processes as many as the window allows.
-// Returning false tears the connection down.
-func (sc *serverConn) onFrame(frame []byte, ar *netArena) bool {
-	m := sc.k.metrics
-	m.add(sc.mkey, mNetRecvs, 1)
-	m.add(sc.mkey, mNetRecvBytes, uint64(len(frame)))
-	if len(frame) >= 1 && frame[0] == fCredit {
-		r := &netCursor{buf: frame[1:]}
-		nc, ok := r.uvarint()
-		if !ok || !r.done() {
-			return false
-		}
-		// Clamp at the client's advertised window (overflow-safe for any
-		// uint64 count): a hostile over-grant cannot widen the stream.
-		if nc >= uint64(sc.cliWin) || sc.respCredits+int(nc) > sc.cliWin {
-			sc.respCredits = sc.cliWin
-		} else {
-			sc.respCredits += int(nc)
-		}
-		ar.put(frame)
-		return sc.drain(ar)
-	}
-	if len(sc.backlog)-sc.backlogHead >= sc.advertWin {
-		// The peer has more unacknowledged frames toward us than the
-		// window we advertised: protocol violation.
-		return false
-	}
-	sc.backlog = append(sc.backlog, frame)
-	return sc.drain(ar)
-}
-
-// drain processes backlogged frames while response credits last.
-func (sc *serverConn) drain(ar *netArena) bool {
-	for sc.respCredits > 0 && sc.backlogHead < len(sc.backlog) {
-		frame := sc.backlog[sc.backlogHead]
-		sc.backlog[sc.backlogHead] = nil
-		sc.backlogHead++
-		if sc.backlogHead == len(sc.backlog) {
-			sc.backlog = sc.backlog[:0]
-			sc.backlogHead = 0
-		}
-		if !sc.process(frame, ar) {
-			return false
-		}
-	}
-	return true
-}
-
 // idle runs when the connection has no further frame to read without
 // waiting: it flushes the staged responses, so they never outlive the read
 // burst that produced them, and releases oversized egress scratch, so a
@@ -1460,15 +1310,17 @@ func (sc *serverConn) idle() bool {
 	return err == nil
 }
 
-// process handles one request frame end to end: decode, dispatch, stage
-// the response on the egress combiner, recycle, and grant request credits
-// back to the client as the window half-empties. Responses flush when the
-// read burst ends (drive) or when staging crosses its high-water mark — so
-// a pipelined burst answered in one pass leaves as one write. A response
-// larger than maxNetFrame is replaced by an EINVAL error frame for its
-// request.
-func (sc *serverConn) process(frame []byte, ar *netArena) bool {
+// onFrame is the connection's ingress entry point, run on its goroutine.
+// It handles one request frame end to end as soon as it is read: decode,
+// dispatch, stage the response on the egress combiner, recycle. Responses
+// flush when the read burst ends (drive) or when staging crosses its
+// high-water mark — so a pipelined burst answered in one pass leaves as one
+// write. A response larger than maxNetFrame is replaced by an EINVAL error
+// frame for its request. Returning false tears the connection down.
+func (sc *serverConn) onFrame(frame []byte, ar *netArena) bool {
 	m := sc.k.metrics
+	m.add(sc.mkey, mNetRecvs, 1)
+	m.add(sc.mkey, mNetRecvBytes, uint64(len(frame)))
 	if len(frame) < 2 {
 		return false
 	}
@@ -1487,7 +1339,6 @@ func (sc *serverConn) process(frame []byte, ar *netArena) bool {
 	n := sc.eg.commit(b)
 	m.add(sc.mkey, mNetSends, 1)
 	m.add(sc.mkey, mNetSendBytes, uint64(n))
-	sc.respCredits--
 	if fatal {
 		// The ingress codec tables stopped at a prefix the client no
 		// longer agrees with; every later backreference could resolve
@@ -1502,16 +1353,6 @@ func (sc *serverConn) process(frame []byte, ar *netArena) bool {
 		// fXfer and fSetProof are excluded: decoded certificates alias
 		// their frames and are retained in per-connection tables.
 		ar.put(frame)
-	}
-	sc.served++
-	if 2*sc.served >= sc.advertWin {
-		b := sc.eg.begin()
-		b = append(b, fCredit)
-		b = binary.AppendUvarint(b, uint64(sc.served))
-		cn := sc.eg.commit(b)
-		sc.served = 0
-		m.add(sc.mkey, mNetSends, 1)
-		m.add(sc.mkey, mNetSendBytes, uint64(cn))
 	}
 	if sc.eg.full() {
 		if sc.eg.flush() != nil {
@@ -1534,10 +1375,6 @@ func (sc *serverConn) handshake() error {
 	peer, err := sc.n.verifyIdentity(r)
 	if err != nil {
 		return err
-	}
-	cliWin, ok := r.uvarint()
-	if !ok || !validWindow(cliWin) {
-		return ErrBadPeer
 	}
 	cliNonce, ok := r.bytes()
 	if !ok {
@@ -1564,13 +1401,11 @@ func (sc *serverConn) handshake() error {
 		return err
 	}
 	ephPub := eph.PublicKey().Bytes()
-	srvWin := sc.advertWin
 	// cliNonce and cliEphRaw alias the hello frame, which lives until the
 	// handshake returns; the digest and session key consume them before.
-	sig := signHello(sc.k.NK, "server", cliNonce, cliEphRaw, ephPub, int(cliWin), srvWin)
+	sig := signHello(sc.k.NK, "server", cliNonce, cliEphRaw, ephPub)
 	resp := []byte{fHelloOK}
 	resp = appendIdentity(resp, self)
-	resp = binary.AppendUvarint(resp, uint64(srvWin))
 	resp = appendNetBytes(resp, nonce)
 	resp = appendNetBytes(resp, ephPub)
 	resp = appendNetBytes(resp, sig)
@@ -1589,7 +1424,7 @@ func (sc *serverConn) handshake() error {
 	if !ok || !ra.done() {
 		return ErrBadPeer
 	}
-	if err := verifyHello(peer.nkPub, "client", nonce, cliEphRaw, ephPub, ackSig, int(cliWin), srvWin); err != nil {
+	if err := verifyHello(peer.nkPub, "client", nonce, cliEphRaw, ephPub, ackSig); err != nil {
 		return err
 	}
 	shared, err := eph.ECDH(cliEph)
@@ -1599,8 +1434,6 @@ func (sc *serverConn) handshake() error {
 	sc.sessKey = deriveSessionKey(shared, cliNonce, nonce)
 	sc.peer = peer
 	sc.prin = peer.prin()
-	sc.cliWin = int(cliWin)
-	sc.respCredits = int(cliWin)
 	return nil
 }
 

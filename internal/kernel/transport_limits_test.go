@@ -3,7 +3,6 @@ package kernel_test
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,20 +15,7 @@ import (
 
 // withinBound runs f and fails the test, printing every goroutine's stack,
 // if f has not returned after d.
-func withinBound(t *testing.T, d time.Duration, f func()) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		f()
-	}()
-	select {
-	case <-done:
-	case <-time.After(d):
-		buf := make([]byte, 1<<22)
-		t.Fatalf("not done after %v:\n%s", d, buf[:runtime.Stack(buf, true)])
-	}
-}
+var withinBound = kernel.WithinBound
 
 // transportCase is a transport with a listen address for each of two
 // nodes.

@@ -17,9 +17,9 @@ import "encoding/binary"
 // echoing the request's id. Server-side FIFO processing is what makes the
 // ordering semantics of interleaved remote operations identical to the
 // lockstep protocol: requests take effect in send order, only the waiting
-// overlaps. fCredit frames are the one exception to the id scheme: they
-// carry no request id, flow in both directions, and are consumed by the
-// transport layer itself (see transport.go's flow-control section).
+// overlaps. Every frame the accepting side sends answers a request, so the
+// dialing side's in-flight window bounds both directions (transport.go,
+// "Backpressure").
 const (
 	fHello    byte = 1  // version, bootID, NK pub, endorsement cert, nonce, eph X25519 pub
 	fHelloOK  byte = 2  // same identity payload + nonce + eph pub + transcript signature
@@ -36,7 +36,6 @@ const (
 	fSubmit   byte = 13 // callerPID, port id, batch-framed messages
 	fSubmitOK byte = 14 // per-op completion vector
 	fXferRe   byte = 15 // callerPID, cert fingerprint, session-key HMAC
-	fCredit   byte = 16 // flow-control grant: uvarint count (no request id)
 )
 
 // Per-op completion status bytes inside an fSubmitOK frame.
@@ -54,17 +53,14 @@ const (
 	wcCertRef byte = 3 // backreference to a previously shipped certificate
 )
 
-// transportVersion gates the handshake; mismatches fail closed. Version 3
-// adds credit-based per-stream flow control on top of version 2's Ed25519
-// node identity, X25519 session-key agreement, pipelined request ids,
-// batched submission, and HMAC re-attestation: each side advertises a
-// receive window in the handshake (folded into the signed transcript), every
-// post-handshake non-credit frame consumes one send credit toward the peer,
-// and credits are returned in batches via fCredit frames — which are
-// themselves exempt from credit accounting, so flow control can never
-// deadlock its own control traffic. A peer that overruns the advertised
-// window is committing a protocol violation and is poisoned.
-const transportVersion byte = 3
+// transportVersion gates the handshake; mismatches fail closed. Version 2
+// brought Ed25519 node identity, X25519 session-key agreement, pipelined
+// request ids, batched submission and HMAC re-attestation. Version 3 added
+// credit-based flow control: receive windows in the signed handshake and
+// fCredit grants (type 16) in both directions. Version 4 removes it again,
+// with the windows and the grants: the dialer's in-flight window is the
+// only bound on a connection, and type 16 is unassigned.
+const transportVersion byte = 4
 
 // maxNetFrame bounds one frame; both backends enforce it on receive so a
 // hostile length prefix cannot force an unbounded allocation.
