@@ -210,6 +210,16 @@ func FuzzRemoteSubmitFrame(f *testing.F) {
 		append(append([]byte{}, pp...), valid...)) // max uvarint id
 	f.Add([]byte{0x80, 0x80}, []byte{})                                // torn id
 	f.Add([]byte{2}, []byte{7, 1, 1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0}) // short msg
+	// One seed per framing check in handleSubmit that the seeds above never fail.
+	f.Add([]byte{1}, []byte{0x80})                          // torn caller pid
+	f.Add([]byte{1}, append(append([]byte{}, pp...), 1, 0)) // torn batch count
+	f.Add([]byte{1}, append(append([]byte{}, pp...), 2, 0, 0, 0, 12, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)) // count past the last entry
+	f.Add([]byte{1}, append(append([]byte{}, pp...), 1, 0, 0, 0, 0xff, 0xff, 0, 0,
+		0, 0, 0, 0)) // entry length past the frame
+	f.Add([]byte{1}, append(append(append([]byte{}, pp...), valid...), 0)) // trailing byte
+	f.Add([]byte{1}, append(binary.AppendUvarint(binary.AppendUvarint(nil, 7), 1<<20),
+		valid...)) // no such port
 	f.Fuzz(func(t *testing.T, idBytes, payload []byte) {
 		if len(idBytes) > 10 || len(payload) > 4096 {
 			return
