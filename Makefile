@@ -86,15 +86,38 @@ BENCH_JSON_RUN = $(GO) test -run=XXX -bench='^Benchmark(Net|ABI|Proof|Ledger)$$'
 bench-json:
 	$(BENCH_JSON_RUN) | $(GO) run ./cmd/experiments
 
-# bench-compare runs the bench-json benchmarks with cmd/experiments writing
-# into a temporary copy of the four committed BENCH files: it prints the
-# rows and units outside the committed min–max and leaves the committed
-# files untouched.
+# bench-compare measures the working tree against HEAD on this machine. It
+# builds the bench-json test binaries (root package and internal/ledger)
+# from HEAD, exported with git archive into a temporary directory, and from
+# the working tree; runs the two sides alternately, five runs of one count
+# each, flipping which side goes first every round; and has cmd/experiments
+# fold HEAD's runs into a temporary directory first and the working tree's
+# second, so its report lists the rows and units whose working-tree median
+# lies outside HEAD's min–max. The committed BENCH files stay untouched.
+# It compares uncommitted work, so run it before committing.
 bench-compare:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	cp BENCH_net.json BENCH_abi.json BENCH_proof.json BENCH_ledger.json "$$tmp" && \
+	mkdir "$$tmp/head" "$$tmp/out" && git archive HEAD | tar -x -C "$$tmp/head" && \
 	$(GO) build -o "$$tmp/experiments" ./cmd/experiments && \
-	$(BENCH_JSON_RUN) | (cd "$$tmp" && ./experiments)
+	for side in head work; do \
+		src=$$(pwd); [ $$side = work ] || src=$$tmp/head; \
+		(cd "$$src" && $(GO) test -c -o "$$tmp/$$side-root.test" . && \
+			$(GO) test -c -o "$$tmp/$$side-ledger.test" ./internal/ledger) || exit 1; \
+	done && \
+	for round in 1 2 3 4 5; do \
+		order="head work"; [ $$((round % 2)) = 1 ] || order="work head"; \
+		for side in $$order; do \
+			src=$$(pwd); [ $$side = work ] || src=$$tmp/head; \
+			echo "bench-compare: round $$round, $$side" >&2; \
+			for pkg in root ledger; do \
+				dir=$$src; [ $$pkg = root ] || dir=$$src/internal/ledger; \
+				(cd "$$dir" && "$$tmp/$$side-$$pkg.test" -test.run=XXX \
+					-test.bench='^Benchmark(Net|ABI|Proof|Ledger)$$' -test.benchmem \
+					-test.count=1 -test.timeout=30m) >> "$$tmp/$$side.txt" || exit 1; \
+			done; \
+		done; \
+	done && \
+	cd "$$tmp/out" && ../experiments < ../head.txt && ../experiments < ../work.txt
 
 # bench-parallel measures multi-core scaling of the authorization fast
 # paths: one table row per GOMAXPROCS.

@@ -15,8 +15,8 @@
 // BENCH_proof.json and BENCH_ledger.json in the current directory, under
 // the goos, goarch and cpu lines go test printed. Before it replaces a
 // BENCH file that exists, it prints every row and unit whose new median
-// lies outside that file's min–max (make bench-compare runs this against
-// a copy of the committed files). Every other top-level
+// lies outside that file's min–max (make bench-compare uses this to
+// compare the working tree with HEAD). Every other top-level
 // benchmark is printed as a table: a row is the name minus its last
 // element (plus -N when the table's rows ran at different GOMAXPROCS), a
 // column is that last element, and a cell is the median of the first

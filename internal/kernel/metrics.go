@@ -117,7 +117,9 @@ type kernelMetrics struct {
 	// netDepth samples the in-flight request depth of a pipelined
 	// connection, observed as each request enters the pending table.
 	netDepth histogram
-	// netBatch samples remote submission batch sizes (ops per fSubmit).
+	// netBatch samples the operations per remote request (ops per
+	// fSubmit), observed by the serving side; a single remote call is a
+	// batch of one.
 	netBatch histogram
 	// netConns gauges live transport connections (accepted + dialed): a
 	// gauge, not a striped counter, because it goes down as well as up.
@@ -183,7 +185,8 @@ type MetricsSnapshot struct {
 	GuardUpcallNs HistogramSnapshot
 	NetRequestNs  HistogramSnapshot
 	// Pipelined-transport distributions (counts, not nanoseconds): the
-	// in-flight depth seen by each request, and ops per remote batch.
+	// in-flight depth seen by each request, and ops per remote request
+	// served (a single call counts as a batch of one).
 	NetInflightDepth HistogramSnapshot
 	NetBatchOps      HistogramSnapshot
 	// NetQueueLen is always empty: the runtime queues no connection for a

@@ -3,7 +3,6 @@ package kernel
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"time"
 
 	"repro/internal/nal/proof"
@@ -74,6 +73,12 @@ func (s *Session) CallRemote(c Cap, m *Msg) ([]byte, error) {
 // for submission-level failures — context cancellation, a full in-flight
 // window (EAGAIN), or the connection failing mid-exchange, in which case
 // every shipped operation's Completion.Err carries the transport error.
+// A per-op error from the serving kernel carries the errno class the
+// operation failed with there, as CallRemote's does: kernel ABI errors and
+// handler errors that wrap a kernel sentinel keep their class (errors.Is
+// matches the sentinel), and any other handler error arrives wrapping
+// ErrRemoteHandler. A port-level failure there (no such port, a closed port,
+// no channel) fails every shipped operation with op "submit".
 func (s *Session) SubmitRemote(ctx context.Context, c Cap, subs []Sub, comps []Completion) ([]Completion, error) {
 	sl, ok := s.ht.lookup(c)
 	if !ok || sl.kind != capRemote || sl.peer == nil {
@@ -179,42 +184,13 @@ func (s *Session) SubmitRemote(ctx context.Context, c Cap, subs []Sub, comps []C
 		return comps, ErrTransportClosed
 	}
 	for _, ci := range sent {
-		st, ok := r.byte()
+		// Out aliases the response frame, which is exclusively ours.
+		out, opErr, ok := r.completion()
 		if !ok {
 			peer.fail()
 			return comps, ErrTransportClosed
 		}
-		switch st {
-		case wsOK:
-			out, ok := r.bytes()
-			if !ok {
-				peer.fail()
-				return comps, ErrTransportClosed
-			}
-			if len(out) > 0 {
-				// Aliases the response frame, which is exclusively ours.
-				comps[ci].Out = out
-			}
-		case wsAbiErr:
-			en, ok1 := r.uvarint()
-			op, ok2 := r.str()
-			detail, ok3 := r.str()
-			if !ok1 || !ok2 || !ok3 {
-				peer.fail()
-				return comps, ErrTransportClosed
-			}
-			comps[ci].Err = abiErr(Errno(en), op, detail)
-		case wsHdlrErr:
-			detail, ok := r.str()
-			if !ok {
-				peer.fail()
-				return comps, ErrTransportClosed
-			}
-			comps[ci].Err = fmt.Errorf("%w: %s", ErrRemoteHandler, detail)
-		default:
-			peer.fail()
-			return comps, ErrTransportClosed
-		}
+		comps[ci].Out, comps[ci].Err = out, opErr
 	}
 	if !r.done() {
 		peer.fail()

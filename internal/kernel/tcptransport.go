@@ -170,15 +170,31 @@ func (t *tcpConn) Recv() ([]byte, error) {
 	if _, err := io.ReadFull(t.c, t.rlenBuf[:]); err != nil {
 		return nil, tcpErr("recv", err)
 	}
-	n := binary.LittleEndian.Uint32(t.rlenBuf[:])
+	n := int(binary.LittleEndian.Uint32(t.rlenBuf[:]))
 	if n > maxNetFrame {
 		return nil, errFrameTooLarge
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(t.c, buf); err != nil {
-		return nil, tcpErr("recv", err)
+	// The buffer grows as the body arrives, doubling, instead of trusting
+	// the prefix: the handshake reads the hello through here before the
+	// peer is authenticated, and 4 bytes must not pin a maximal frame.
+	buf := make([]byte, min(n, recvChunk))
+	off := 0
+	for {
+		if _, err := io.ReadFull(t.c, buf[off:]); err != nil {
+			if err == io.EOF && off > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, tcpErr("recv", err)
+		}
+		if len(buf) == n {
+			return buf, nil
+		}
+		off = len(buf)
+		buf = append(buf, make([]byte, min(n-off, off))...)
 	}
-	return buf, nil
 }
+
+// recvChunk is Recv's first buffer size.
+const recvChunk = 16 << 10
 
 func (t *tcpConn) Close() error { return t.c.Close() }

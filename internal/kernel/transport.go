@@ -1,7 +1,7 @@
 // Inter-kernel transport: the distributed attestation plane.
 //
 // A Node attaches a transport endpoint to a running kernel. Two nodes that
-// complete the handshake exchange four kinds of traffic, all speaking the
+// complete the handshake exchange three kinds of traffic, all speaking the
 // binary wire vocabulary of wire_net.go:
 //
 //   - externalized labels: egress signs a label into certificate form under
@@ -14,12 +14,11 @@
 //   - proof registrations: a remote subject binds a proof (with inline,
 //     reference, or certificate credentials) to an access tuple on the
 //     serving kernel, exactly as a local setproof would;
-//   - remote calls: IPC requests routed into the serving kernel's standard
-//     dispatch() pipeline on behalf of a proxy process, so channel checks,
-//     authorization, interposition, and auditing apply unchanged;
-//   - batched submissions: one frame carrying N operations against one
-//     remote port, executed through the flags-preloaded dispatch variant
-//     with a pooled marshal arena, answered by one completion-vector frame.
+//   - remote IPC: one fSubmit frame carrying N operations against one
+//     remote port (a single call is a batch of one), run on behalf of a
+//     proxy process through the serving kernel's dispatch stages — channel
+//     check, authorization, interposition over the received message bytes,
+//     handler — and answered by one completion-vector frame.
 //
 // Identity. Each side presents its boot id, its Ed25519 NK public key, and
 // the TPM's endorsement of the NK ("key:EK says key:NK speaksfor
@@ -42,10 +41,11 @@
 //
 // Pipelining. After the handshake every frame carries a request id. The
 // dialing side keeps a pending-call table and may have up to maxInflight
-// requests outstanding; the window full condition surfaces as EAGAIN. The
-// serving side processes requests strictly in arrival order, so the
-// observable ordering semantics are those of the lockstep protocol — only
-// the waiting overlaps.
+// requests outstanding; the window full condition surfaces as EAGAIN. A
+// single call and a batch are both one request, an fSubmit. The serving
+// side processes requests strictly in arrival order, so the observable
+// ordering semantics are those of the lockstep protocol — only the waiting
+// overlaps.
 //
 // Runtime. Each established connection end runs on one goroutine of its
 // own (drive, driver.go): the serving side runs its handlers inline, and a
@@ -405,7 +405,7 @@ func (n *Node) verifyIdentity(r *netCursor) (*identity, error) {
 // key agreement into an otherwise authentic handshake.
 func helloDigest(role string, nonce, cliEph, srvEph []byte) [32]byte {
 	h := sha256.New()
-	h.Write([]byte("nexus-transport-hello/4/"))
+	h.Write([]byte("nexus-transport-hello/5/"))
 	h.Write([]byte(role))
 	h.Write([]byte{0})
 	h.Write(nonce)
@@ -698,11 +698,8 @@ func (n *Node) handshakeClient(c Conn) (*Peer, error) {
 func rejectErr(resp []byte) error {
 	r := &netCursor{buf: resp[1:]}
 	if _, ok := r.uvarint(); ok {
-		en, ok1 := r.uvarint()
-		op, ok2 := r.str()
-		detail, ok3 := r.str()
-		if ok1 && ok2 && ok3 && Errno(en) != EOK {
-			return abiErr(Errno(en), op, detail)
+		if err, ok := r.errBody(); ok && ErrnoOf(err) != EOK {
+			return err
 		}
 	}
 	return ErrBadPeer
@@ -918,10 +915,9 @@ func (p *Peer) sendOwned(frame []byte) error {
 }
 
 // await blocks until the receive loop delivers the response for this
-// request (or the peer fails). It decodes fErr frames into errors: kernel
-// ABI failures rebuild their errno class (so errors.Is(err, ErrDenied)
-// works across the wire), handler-level failures rebuild as plain errors.
-// A response of an unexpected type poisons the connection.
+// request (or the peer fails). It decodes fErr frames into errors
+// (netCursor.errBody). A response of an unexpected type poisons the
+// connection.
 func (p *Peer) await(t0 time.Time, ch chan netResp, wantType byte) ([]byte, error) {
 	resp, ok := <-ch
 	if !ok {
@@ -933,17 +929,12 @@ func (p *Peer) await(t0 time.Time, ch chan netResp, wantType byte) ([]byte, erro
 	p.n.k.metrics.netReqNs.observe(time.Since(t0))
 	if resp.typ == fErr {
 		r := &netCursor{buf: resp.payload}
-		en, ok1 := r.uvarint()
-		op, ok2 := r.str()
-		detail, ok3 := r.str()
-		if !ok1 || !ok2 || !ok3 {
+		err, ok := r.errBody()
+		if !ok {
 			p.fail()
 			return nil, ErrTransportClosed
 		}
-		if Errno(en) == EOK {
-			return nil, fmt.Errorf("%w: %s", ErrRemoteHandler, detail)
-		}
-		return nil, abiErr(Errno(en), op, detail)
+		return nil, err
 	}
 	if resp.typ != wantType {
 		p.fail()
@@ -996,7 +987,10 @@ func (p *Peer) connect(callerPID int, service string) (int, error) {
 	return int(port), nil
 }
 
-// call forwards one IPC request to the remote port.
+// call forwards one IPC request to the remote port as a one-entry
+// submission, staged straight onto the egress combiner, and returns the
+// entry's completion. The result aliases the response frame, which is
+// exclusively ours.
 func (p *Peer) call(callerPID, portID int, m *Msg) ([]byte, error) {
 	id, ch, err := p.begin(m.Op)
 	if err != nil {
@@ -1004,32 +998,39 @@ func (p *Peer) call(callerPID, portID int, m *Msg) ([]byte, error) {
 	}
 	t0 := time.Now()
 	p.sendMu.Lock()
-	b := p.eg.begin()
-	b = append(b, fCall)
-	b = binary.AppendUvarint(b, id)
-	b = binary.AppendUvarint(b, uint64(callerPID))
-	b = binary.AppendUvarint(b, uint64(portID))
-	b = appendMsgFields(b, m)
-	err = p.commitFlush(b)
+	err = p.commitFlush(appendCallFrame(p.eg.begin(), id, callerPID, portID, m))
 	p.sendMu.Unlock()
 	if err != nil {
 		return nil, p.sendErr(id, err)
 	}
-	resp, err := p.await(t0, ch, fCallOK)
+	resp, err := p.await(t0, ch, fSubmitOK)
 	if err != nil {
 		return nil, err
 	}
 	r := &netCursor{buf: resp}
-	out, ok := r.bytes()
-	if !ok {
+	n, ok := r.uvarint()
+	if !ok || n != 1 {
 		p.fail()
 		return nil, ErrTransportClosed
 	}
-	if len(out) == 0 {
-		return nil, nil
+	out, opErr, ok := r.completion()
+	if !ok || !r.done() {
+		p.fail()
+		return nil, ErrTransportClosed
 	}
-	// The response frame is exclusively ours; hand the result out directly.
-	return out, nil
+	return out, opErr
+}
+
+// appendCallFrame appends the frame that carries a single call: a
+// one-entry fSubmit.
+func appendCallFrame(b []byte, id uint64, callerPID, portID int, m *Msg) []byte {
+	b = append(b, fSubmit)
+	b = binary.AppendUvarint(b, id)
+	b = binary.AppendUvarint(b, uint64(callerPID))
+	b = binary.AppendUvarint(b, uint64(portID))
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = binary.LittleEndian.AppendUint32(b, uint32(msgWireSize(m)))
+	return appendMsgWire(b, m)
 }
 
 // submit ships a pre-built fSubmit frame (taking ownership of it) and
@@ -1248,9 +1249,9 @@ type serverConn struct {
 	eg    *egress
 	reTag *reTagger
 
-	// subMsg is the reused decode target for calls and batched
-	// submissions; its Op/Obj strings persist across warm requests so a
-	// repeated target decodes without allocating.
+	// subMsg is the reused decode target for submission entries; its
+	// Op/Obj strings persist across warm requests so a repeated target
+	// decodes without allocating.
 	subMsg Msg
 
 	// mkey selects this connection's metrics counter stripe.
@@ -1347,7 +1348,7 @@ func (sc *serverConn) onFrame(frame []byte, ar *netArena) bool {
 		return false
 	}
 	switch typ {
-	case fConnect, fCall, fSubmit, fXferRe:
+	case fConnect, fSubmit, fXferRe:
 		// These request payloads cannot escape the exchange (everything
 		// retained is copied), so the buffer returns to the arena.
 		// fXfer and fSetProof are excluded: decoded certificates alias
@@ -1461,8 +1462,6 @@ func (sc *serverConn) handle(dst []byte, typ byte, id uint64, r *netCursor) (res
 	switch typ {
 	case fConnect:
 		return sc.handleConnect(dst, id, r), false
-	case fCall:
-		return sc.handleCall(dst, id, r), false
 	case fXfer:
 		return sc.handleXfer(dst, id, r), false
 	case fXferRe:
@@ -1495,32 +1494,13 @@ func (sc *serverConn) handleConnect(dst []byte, id uint64, r *netCursor) []byte 
 	return binary.AppendUvarint(dst, uint64(portID))
 }
 
-func (sc *serverConn) handleCall(dst []byte, id uint64, r *netCursor) []byte {
-	pid, ok1 := r.uvarint()
-	portID, ok2 := r.uvarint()
-	if !ok1 || !ok2 {
-		return appendErrFrame(dst, id, "call", abiErr(EINVAL, "call", "malformed frame"))
-	}
-	m := &sc.subMsg
-	if !readMsgFieldsInto(m, r) || !r.done() {
-		return appendErrFrame(dst, id, "call", abiErr(EINVAL, "call", "malformed message"))
-	}
-	// The standard dispatch pipeline: channel check, authorization against
-	// the proxy's (remote) principal, interposition, handler.
-	out, err := sc.k.Call(sc.proxy(int(pid)), int(portID), m)
-	if err != nil {
-		return appendErrFrame(dst, id, m.Op, err)
-	}
-	dst = append(dst, fCallOK)
-	dst = binary.AppendUvarint(dst, id)
-	return appendNetBytes(dst, out)
-}
-
-// handleSubmit executes one batched submission: N operations against one
-// remote port, each run through the flags-preloaded dispatch pipeline on
-// the caller's proxy, marshaling (when interposition is on) into a pooled
-// arena. The batch framing is validated in full before any operation
-// executes, so a torn frame cannot half-run.
+// handleSubmit executes one submission of N operations against one remote
+// port — a single remote call is a submission of one — on the caller's
+// proxy, through the dispatch stages with the per-port head (port
+// liveness, channel check, interposition chain) hoisted out of the loop;
+// monitors inspect each entry's received bytes in place. The batch framing
+// is validated in full before any operation executes, so a torn frame
+// cannot half-run.
 func (sc *serverConn) handleSubmit(dst []byte, id uint64, r *netCursor) []byte {
 	pid, ok1 := r.uvarint()
 	portID, ok2 := r.uvarint()
@@ -1587,19 +1567,13 @@ func (sc *serverConn) handleSubmit(dst []byte, id uint64, r *netCursor) []byte {
 			out, err = pt.h(ba.caller, m)
 			out = ba.unwind(m, out)
 		}
-		switch e := err.(type) {
-		case nil:
-			resp = append(resp, wsOK)
-			resp = appendNetBytes(resp, out)
-		case *Error:
-			resp = append(resp, wsAbiErr)
-			resp = binary.AppendUvarint(resp, uint64(e.Errno))
-			resp = appendNetString(resp, e.Op)
-			resp = appendNetString(resp, e.Detail)
-		default:
-			resp = append(resp, wsHdlrErr)
-			resp = appendNetString(resp, err.Error())
+		if err != nil {
+			resp = append(resp, wsErr)
+			resp = appendErrBody(resp, m.Op, err)
+			continue
 		}
+		resp = append(resp, wsOK)
+		resp = appendNetBytes(resp, out)
 	}
 	return resp
 }
@@ -1721,7 +1695,8 @@ func (sc *serverConn) handleSetProof(dst []byte, id uint64, r *netCursor) (resp 
 		return appendErrFrame(dst, id, "setproof", abiErr(EINVAL, "setproof", "malformed frame")), true
 	}
 	proxy := sc.proxy(int(pid))
-	creds := make([]Credential, 0, ncreds)
+	// creds grows as credentials parse: ncreds is the peer's claim.
+	var creds []Credential
 	for i := uint64(0); i < ncreds; i++ {
 		kind, ok := r.byte()
 		if !ok {

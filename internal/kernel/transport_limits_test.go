@@ -102,28 +102,32 @@ func TestNestedRemoteCall(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			// Each caller keeps its first error in its own slot, reported
+			// after the bound: a caller still running when the bound
+			// expires must not touch t once the test has ended.
+			errs := make([]error, callers)
 			withinBound(t, 30*time.Second, func() {
 				var wg sync.WaitGroup
-				for c := 0; c < callers; c++ {
+				for c := range errs {
 					wg.Add(1)
 					go func(c int) {
 						defer wg.Done()
 						s, err := kA.NewSession([]byte(fmt.Sprintf("caller-%d", c)))
 						if err != nil {
-							t.Error(err)
+							errs[c] = err
 							return
 						}
 						defer s.Exit()
 						rc, err := s.Connect(toB[c%peers], "relay")
 						if err != nil {
-							t.Error(err)
+							errs[c] = err
 							return
 						}
 						for i := 0; i < calls; i++ {
 							obj := fmt.Sprintf("%d/%d", c, i)
 							out, err := s.CallRemote(rc, &kernel.Msg{Op: "read", Obj: obj})
 							if err != nil || string(out) != "echo:"+obj {
-								t.Errorf("nested call %s: %q, %v", obj, out, err)
+								errs[c] = fmt.Errorf("nested call %s: %q, %v", obj, out, err)
 								return
 							}
 						}
@@ -131,6 +135,11 @@ func TestNestedRemoteCall(t *testing.T) {
 				}
 				wg.Wait()
 			})
+			for c, err := range errs {
+				if err != nil {
+					t.Errorf("caller %d: %v", c, err)
+				}
+			}
 		})
 	}
 }

@@ -1,9 +1,12 @@
 package kernel_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,7 +102,9 @@ func TestTrustEKAllowlist(t *testing.T) {
 // pipeline on both kernels — the local forwarder port's interposition
 // chain sees the egress, the serving kernel's chain sees the ingress with
 // the caller attributed to its remote (proxy) principal — and batch
-// submission through a remote handle works unchanged.
+// submission through a remote handle works unchanged. CallRemote and each
+// SubmitRemote entry show the serving kernel's monitors the message's
+// canonical wire form, and get the same verdicts and OnReturn rewrites.
 func TestRemoteCallThroughDispatch(t *testing.T) {
 	w := newTwoNodes(t)
 
@@ -125,7 +130,34 @@ func TestRemoteCallThroughDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ingress, egress atomic.Int64
-	if _, err := w.store.Interpose(mustProc(t, w.store, srv.PID()), port, countMonitor(&ingress)); err != nil {
+	var seenMu sync.Mutex
+	var seen [][]byte // the wire bytes the serving kernel's monitor was shown
+	takeSeen := func() [][]byte {
+		seenMu.Lock()
+		defer seenMu.Unlock()
+		s := seen
+		seen = nil
+		return s
+	}
+	ingressMon := kernel.FuncMonitor{
+		Call: func(_ kernel.Caller, m *kernel.Msg, wire []byte) kernel.Verdict {
+			ingress.Add(1)
+			seenMu.Lock()
+			seen = append(seen, append([]byte(nil), wire...))
+			seenMu.Unlock()
+			if m.Obj == "blocked" {
+				return kernel.VerdictBlock
+			}
+			return kernel.VerdictAllow
+		},
+		Ret: func(_ kernel.Caller, m *kernel.Msg, out []byte) []byte {
+			if m.Obj == "rewrite" {
+				return []byte("rewritten")
+			}
+			return out
+		},
+	}
+	if _, err := w.store.Interpose(mustProc(t, w.store, srv.PID()), port, ingressMon); err != nil {
 		t.Fatal(err)
 	}
 
@@ -174,6 +206,114 @@ func TestRemoteCallThroughDispatch(t *testing.T) {
 	for i, want := range []string{"echo:a", "echo:b"} {
 		if comps[i].Err != nil || string(comps[i].Out) != want {
 			t.Fatalf("batched remote op %d: %q, %v", i, comps[i].Out, comps[i].Err)
+		}
+	}
+
+	// Both remote paths: the monitor sees the canonical wire form, a block
+	// verdict fails the operation with EACCES, and a rewrite reaches the
+	// caller.
+	for _, tc := range []struct {
+		obj, want string
+		denied    bool
+	}{
+		{obj: "obj", want: "echo:x"},
+		{obj: "blocked", denied: true},
+		{obj: "rewrite", want: "rewritten"},
+	} {
+		m := &kernel.Msg{Op: "read", Obj: tc.obj, Args: [][]byte{[]byte("x")}}
+		wire := kernel.MarshalMsgForBench(m)
+		check := func(path string, out []byte, err error) {
+			t.Helper()
+			if tc.denied {
+				if !errors.Is(err, kernel.ErrDenied) {
+					t.Fatalf("%s %s: got %q, %v; want EACCES", path, tc.obj, out, err)
+				}
+			} else if err != nil || string(out) != tc.want {
+				t.Fatalf("%s %s: got %q, %v; want %q", path, tc.obj, out, err, tc.want)
+			}
+			if got := takeSeen(); len(got) != 1 || !bytes.Equal(got[0], wire) {
+				t.Fatalf("%s %s: serving monitor saw %q, want [%q]", path, tc.obj, got, wire)
+			}
+		}
+		takeSeen()
+		out, err := cli.CallRemote(c, m)
+		check("CallRemote", out, err)
+		comps, err := cli.SubmitRemote(nil, c, []kernel.Sub{{Cap: c, Op: m.Op, Obj: m.Obj, Args: m.Args}}, nil)
+		if err != nil {
+			t.Fatalf("SubmitRemote %s: %v", tc.obj, err)
+		}
+		check("SubmitRemote", comps[0].Out, comps[0].Err)
+	}
+}
+
+// TestRemoteErrorParity: a handler's error reaches the caller with the same
+// errno class through a local Session.Call, CallRemote and a one-entry
+// SubmitRemote — an ABI error, a handler error wrapping a kernel sentinel,
+// and a plain handler error, which both remote paths wrap in
+// ErrRemoteHandler.
+func TestRemoteErrorParity(t *testing.T) {
+	w := newTwoNodes(t)
+	srv, err := w.store.NewSession([]byte("parity-srv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := srv.Listen(func(_ kernel.Caller, m *kernel.Msg) ([]byte, error) {
+		switch m.Obj {
+		case "nolabel":
+			return nil, &kernel.Error{Errno: kernel.ENOLABEL, Op: m.Op, Detail: "stale label"}
+		case "quota":
+			return nil, fmt.Errorf("quota: %w", kernel.ErrDenied)
+		}
+		return nil, errors.New("boom")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	port, _ := srv.PortOf(pc)
+	if err := w.nStore.Export("parity", port); err != nil {
+		t.Fatal(err)
+	}
+	local, err := w.store.NewSession([]byte("parity-local"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := local.Open(port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := w.front.NewSession([]byte("parity-cli"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := cli.Connect(w.peer, "parity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		obj  string
+		want kernel.Errno
+	}{
+		{"nolabel", kernel.ENOLABEL},
+		{"quota", kernel.EACCES},
+		{"boom", kernel.EOK},
+	} {
+		m := &kernel.Msg{Op: "read", Obj: tc.obj}
+		_, localErr := local.Call(lc, m)
+		_, callErr := cli.CallRemote(rc, m)
+		comps, err := cli.SubmitRemote(nil, rc, []kernel.Sub{{Cap: rc, Op: m.Op, Obj: m.Obj}}, nil)
+		if err != nil {
+			t.Fatalf("%s: SubmitRemote: %v", tc.obj, err)
+		}
+		for path, err := range map[string]error{"Session.Call": localErr, "CallRemote": callErr, "SubmitRemote": comps[0].Err} {
+			if err == nil {
+				t.Fatalf("%s over %s: no error", tc.obj, path)
+			}
+			if got := kernel.ErrnoOf(err); got != tc.want {
+				t.Errorf("%s over %s: errno %v (%v), want %v", tc.obj, path, got, err, tc.want)
+			}
+			if path != "Session.Call" && tc.want == kernel.EOK && !errors.Is(err, kernel.ErrRemoteHandler) {
+				t.Errorf("%s over %s: %v does not wrap ErrRemoteHandler", tc.obj, path, err)
+			}
 		}
 	}
 }

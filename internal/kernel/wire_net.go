@@ -1,6 +1,9 @@
 package kernel
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Inter-kernel frame vocabulary. A frame is one type byte followed by a
 // type-specific payload built from three primitives: uvarints,
@@ -20,29 +23,32 @@ import "encoding/binary"
 // overlaps. Every frame the accepting side sends answers a request, so the
 // dialing side's in-flight window bounds both directions (transport.go,
 // "Backpressure").
+//
+// A remote IPC travels as fSubmit, whatever its count: a single call is a
+// one-entry submission. Each entry is one message in the interposition
+// form (appendMsgWire), so the serving kernel's monitors inspect the bytes
+// that arrived. Types 6 and 7, the single-call frames of versions 2–4,
+// and 16, version 3's credit grant, are unassigned.
 const (
 	fHello    byte = 1  // version, bootID, NK pub, endorsement cert, nonce, eph X25519 pub
 	fHelloOK  byte = 2  // same identity payload + nonce + eph pub + transcript signature
 	fHelloAck byte = 3  // transcript signature (client role)
 	fConnect  byte = 4  // callerPID, service name
 	fConnOK   byte = 5  // public port id
-	fCall     byte = 6  // callerPID, port id, op, obj, args
-	fCallOK   byte = 7  // result bytes
 	fXfer     byte = 8  // callerPID, label certificate
 	fXferOK   byte = 9  // proxy pid, labelstore handle
 	fSetProof byte = 10 // callerPID, op, obj, proof text, credentials
 	fOK       byte = 11 // empty success
 	fErr      byte = 12 // errno, op, detail
-	fSubmit   byte = 13 // callerPID, port id, batch-framed messages
-	fSubmitOK byte = 14 // per-op completion vector
+	fSubmit   byte = 13 // callerPID, port id, u32 count, count × (u32 len, message)
+	fSubmitOK byte = 14 // count, count × (status, result bytes or error body)
 	fXferRe   byte = 15 // callerPID, cert fingerprint, session-key HMAC
 )
 
 // Per-op completion status bytes inside an fSubmitOK frame.
 const (
-	wsOK      byte = 0 // length-prefixed result bytes follow
-	wsAbiErr  byte = 1 // errno, op, detail follow
-	wsHdlrErr byte = 2 // handler-level error text follows
+	wsOK  byte = 0 // length-prefixed result bytes follow
+	wsErr byte = 1 // an error body follows, as in fErr (appendErrBody)
 )
 
 // Credential kinds inside an fSetProof frame.
@@ -59,8 +65,11 @@ const (
 // credit-based flow control: receive windows in the signed handshake and
 // fCredit grants (type 16) in both directions. Version 4 removes it again,
 // with the windows and the grants: the dialer's in-flight window is the
-// only bound on a connection, and type 16 is unassigned.
-const transportVersion byte = 4
+// only bound on a connection, and type 16 is unassigned. Version 5 sends a
+// single call as a one-entry fSubmit: the call frames (types 6 and 7) are
+// unassigned, and a completion entry's error is one status, wsErr, whose
+// body is fErr's.
+const transportVersion byte = 5
 
 // maxNetFrame bounds one frame; both backends enforce it on receive so a
 // hostile length prefix cannot force an unbounded allocation.
@@ -121,12 +130,19 @@ func appendNetString(dst []byte, s string) []byte {
 }
 
 // appendErrFrame encodes a failure response for the request with the given
-// id. Kernel ABI errors travel as their errno class; handler-level errors
-// travel as EOK plus detail and are rebuilt as plain errors on the caller's
-// side.
+// id.
 func appendErrFrame(dst []byte, id uint64, op string, err error) []byte {
 	dst = append(dst, fErr)
 	dst = binary.AppendUvarint(dst, id)
+	return appendErrBody(dst, op, err)
+}
+
+// appendErrBody encodes an error as errno, op and detail — the body of an
+// fErr frame and of a wsErr completion entry. Kernel ABI errors travel as
+// themselves; any other error travels as its errno class (ErrnoOf, so a
+// handler error wrapping a kernel sentinel keeps its class), the operation
+// op that failed, and its text. EOK marks a handler-level error.
+func appendErrBody(dst []byte, op string, err error) []byte {
 	if e, ok := err.(*Error); ok {
 		dst = binary.AppendUvarint(dst, uint64(e.Errno))
 		dst = appendNetString(dst, e.Op)
@@ -137,15 +153,42 @@ func appendErrFrame(dst []byte, id uint64, op string, err error) []byte {
 	return appendNetString(dst, err.Error())
 }
 
-// appendMsgFields encodes op, obj, and the argument vector of a Msg.
-func appendMsgFields(dst []byte, m *Msg) []byte {
-	dst = appendNetString(dst, m.Op)
-	dst = appendNetString(dst, m.Obj)
-	dst = binary.AppendUvarint(dst, uint64(len(m.Args)))
-	for _, a := range m.Args {
-		dst = appendNetBytes(dst, a)
+// errBody decodes an appendErrBody error. A kernel ABI error rebuilds
+// its errno class, so errors.Is(err, ErrDenied) works across the wire; a
+// handler-level error (EOK) rebuilds as ErrRemoteHandler plus its text.
+// ok is false on a torn body.
+func (r *netCursor) errBody() (err error, ok bool) {
+	en, ok1 := r.uvarint()
+	op, ok2 := r.str()
+	detail, ok3 := r.str()
+	if !ok1 || !ok2 || !ok3 {
+		return nil, false
 	}
-	return dst
+	if Errno(en) == EOK {
+		return fmt.Errorf("%w: %s", ErrRemoteHandler, detail), true
+	}
+	return abiErr(Errno(en), op, detail), true
+}
+
+// completion decodes one completion-vector entry: the result bytes of a
+// successful operation (nil when empty; they alias the frame) or its
+// error. ok is false on a torn entry or an unknown status.
+func (r *netCursor) completion() (out []byte, opErr error, ok bool) {
+	st, ok := r.byte()
+	if !ok {
+		return nil, nil, false
+	}
+	switch st {
+	case wsOK:
+		if out, ok = r.bytes(); ok && len(out) == 0 {
+			out = nil
+		}
+		return out, nil, ok
+	case wsErr:
+		opErr, ok = r.errBody()
+		return nil, opErr, ok
+	}
+	return nil, nil, false
 }
 
 // unmarshalMsgInto decodes one message of the appendMsgWire format into m,
@@ -190,43 +233,6 @@ func unmarshalMsgInto(m *Msg, buf []byte) bool {
 		}
 		m.Args = append(m.Args, buf[:n])
 		buf = buf[n:]
-	}
-	return true
-}
-
-// readMsgFieldsInto decodes the fields appendMsgFields wrote into m,
-// reusing m's Args backing array and keeping the previous Op/Obj strings
-// when the bytes match — a connection's warm calls repeat the same target,
-// so the per-call string cost collapses to the first request (the same
-// trick unmarshalMsgInto plays for batch entries). Argument buffers alias
-// the frame, matching the *Msg lifetime contract (valid for the duration
-// of the dispatch).
-func readMsgFieldsInto(m *Msg, r *netCursor) bool {
-	op, ok := r.bytes()
-	if !ok {
-		return false
-	}
-	if string(op) != m.Op {
-		m.Op = string(op)
-	}
-	obj, ok := r.bytes()
-	if !ok {
-		return false
-	}
-	if string(obj) != m.Obj {
-		m.Obj = string(obj)
-	}
-	n, ok := r.uvarint()
-	if !ok || n > uint64(len(r.buf)-r.off) {
-		return false
-	}
-	m.Args = m.Args[:0]
-	for i := uint64(0); i < n; i++ {
-		a, ok := r.bytes()
-		if !ok {
-			return false
-		}
-		m.Args = append(m.Args, a)
 	}
 	return true
 }
