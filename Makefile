@@ -131,7 +131,6 @@ fuzz-smoke:
 	$(GO) test -run=XXX -fuzz=FuzzParsePrincipal -fuzztime=$(FUZZTIME) ./internal/nal
 	$(GO) test -run=XXX -fuzz=FuzzGoalKey -fuzztime=$(FUZZTIME) ./internal/nal
 	$(GO) test -run=XXX -fuzz=FuzzMsgWire -fuzztime=$(FUZZTIME) ./internal/kernel
-	$(GO) test -run=XXX -fuzz=FuzzBatchWire -fuzztime=$(FUZZTIME) ./internal/kernel
 	$(GO) test -run=XXX -fuzz=FuzzRemoteSubmitFrame -fuzztime=$(FUZZTIME) ./internal/kernel
 	$(GO) test -run=XXX -fuzz=FuzzHandleTable -fuzztime=$(FUZZTIME) ./internal/kernel
 	$(GO) test -run=XXX -fuzz=FuzzParseProof -fuzztime=$(FUZZTIME) ./internal/nal/proof

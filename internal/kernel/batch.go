@@ -2,8 +2,6 @@ package kernel
 
 import (
 	"context"
-	"encoding/binary"
-	"fmt"
 	"sync"
 )
 
@@ -35,8 +33,9 @@ type Completion struct {
 // over Call comes from.
 var wireArenas = sync.Pool{New: func() any { return new([]byte) }}
 
-// arenaKeepCap bounds the arena size returned to the pool so one huge batch
-// cannot pin memory forever.
+// arenaKeepCap bounds the buffer size returned to wireArenas (and to
+// framePool, egress.go) so one huge batch or frame cannot pin memory
+// forever.
 const arenaKeepCap = 64 << 10
 
 // Submit pushes a batch of operations through one kernel entry: the toggle
@@ -194,75 +193,4 @@ func (q *SubQueue) Flush(ctx context.Context) []Completion {
 	q.comps = comps
 	q.subs = q.subs[:0]
 	return comps
-}
-
-// ---- Batch wire format -------------------------------------------------
-
-// The batch wire format frames N messages of the single-message format:
-//
-//	uint32 count | count × ( uint32 len | message bytes )
-//
-// It is what a remote submission path would ship and what user-level
-// monitors see reassembled; FuzzBatchWire holds decode ∘ encode = id.
-
-// MarshalBatch encodes a batch of messages into one buffer.
-func MarshalBatch(msgs []*Msg) []byte {
-	n := 4
-	for _, m := range msgs {
-		n += 4 + msgWireSize(m)
-	}
-	buf := make([]byte, 0, n)
-	var l [4]byte
-	binary.LittleEndian.PutUint32(l[:], uint32(len(msgs)))
-	buf = append(buf, l[:]...)
-	for _, m := range msgs {
-		binary.LittleEndian.PutUint32(l[:], uint32(msgWireSize(m)))
-		buf = append(buf, l[:]...)
-		buf = appendMsgWire(buf, m)
-	}
-	return buf
-}
-
-// UnmarshalBatch decodes a batch-framed buffer. Decoding arbitrary bytes
-// never panics; accepted input round-trips byte-for-byte. Malformed input
-// is an EINVAL-classed ABI error, never a raw string.
-//
-//nexus:errno
-func UnmarshalBatch(buf []byte) ([]*Msg, error) {
-	if len(buf) < 4 {
-		return nil, abiErr(EINVAL, "batch", "truncated batch header")
-	}
-	count := binary.LittleEndian.Uint32(buf[:4])
-	buf = buf[4:]
-	// Each message costs at least 8 bytes on the wire; reject absurd counts
-	// before allocating.
-	if uint64(count)*8 > uint64(len(buf)) {
-		return nil, abiErr(EINVAL, "batch", fmt.Sprintf("count %d exceeds buffer", count))
-	}
-	msgs := make([]*Msg, 0, count)
-	for i := uint32(0); i < count; i++ {
-		if len(buf) < 4 {
-			return nil, abiErr(EINVAL, "batch", "truncated frame header")
-		}
-		n := binary.LittleEndian.Uint32(buf[:4])
-		buf = buf[4:]
-		if uint32(len(buf)) < n {
-			return nil, abiErr(EINVAL, "batch", "truncated frame body")
-		}
-		m, err := unmarshalMsg(buf[:n])
-		if err != nil {
-			return nil, err
-		}
-		// The inner frame must be the message's canonical length, or
-		// re-encoding would not reproduce the input.
-		if int(n) != msgWireSize(m) {
-			return nil, abiErr(EINVAL, "batch", fmt.Sprintf("frame length %d not canonical", n))
-		}
-		msgs = append(msgs, m)
-		buf = buf[n:]
-	}
-	if len(buf) != 0 {
-		return nil, abiErr(EINVAL, "batch", fmt.Sprintf("%d trailing bytes", len(buf)))
-	}
-	return msgs, nil
 }

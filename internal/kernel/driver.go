@@ -12,6 +12,11 @@
 // other Conn blocks in its own Recv. Closing a Conn wakes its blocked
 // reader, so tearing a connection down is a Close and nothing more.
 //
+// drive moves frames and holds none: a reader that copies frames out of a
+// stream takes each buffer from framePool (egress.go), and the serving end
+// hands a request frame whose payload cannot outlive its exchange straight
+// back to it (serverConn.onFrame), so an idle end keeps no frame buffer.
+//
 // A handler runs on its connection's goroutine, so a handler that blocks
 // holds up only its own connection. That includes a handler making a
 // nested synchronous remote call: it waits on a Peer whose own goroutine
@@ -56,61 +61,12 @@ func (c TransportConfig) withDefaults() TransportConfig {
 	return c
 }
 
-// netArena is one connection end's free list of frame buffers, confined to
-// its goroutine. Frames are read into arena buffers, decoded in place, and
-// recycled after dispatch for frame types whose payload cannot outlive the
-// exchange (see serverConn.onFrame), so a pipelined burst reuses its own
-// buffers. The arena refills from and drains into the global framePool,
-// which couples the ingress recycle stream to the egress combiners.
-type netArena struct {
-	bufs [][]byte
-}
-
-// arenaMaxBufs bounds the free list; arenaKeepCap (shared with the
-// submission arenas in batch.go) bounds each buffer so one huge frame
-// cannot pin memory.
-const arenaMaxBufs = 32
-
-func (a *netArena) get(n int) []byte {
-	for i := len(a.bufs) - 1; i >= 0; i-- {
-		if cap(a.bufs[i]) >= n {
-			b := a.bufs[i]
-			a.bufs[i] = a.bufs[len(a.bufs)-1]
-			a.bufs[len(a.bufs)-1] = nil
-			a.bufs = a.bufs[:len(a.bufs)-1]
-			return b[:n]
-		}
-	}
-	return getFrameBuf(n)
-}
-
-func (a *netArena) put(b []byte) {
-	if cap(b) == 0 || cap(b) > arenaKeepCap {
-		return
-	}
-	if len(a.bufs) >= arenaMaxBufs {
-		putFrameBuf(b)
-		return
-	}
-	a.bufs = append(a.bufs, b[:0])
-}
-
-// release returns every buffer to the frame pool. drive calls it before
-// each wait, so an idle connection end holds no frame buffer.
-func (a *netArena) release() {
-	for i, b := range a.bufs {
-		putFrameBuf(b)
-		a.bufs[i] = nil
-	}
-	a.bufs = a.bufs[:0]
-}
-
 // frameReader is the ingress side of one connection end. next returns the
 // next frame, owned by the caller; with wait false it returns (nil, nil)
 // when no frame is available without blocking. A reader that copies frames
-// out of a stream copies them into ar's buffers.
+// out of a stream copies them into framePool buffers.
 type frameReader interface {
-	next(ar *netArena, wait bool) ([]byte, error)
+	next(wait bool) ([]byte, error)
 }
 
 // readerFor picks the reader for c: a loopback end reads its pipe's queue,
@@ -133,7 +89,7 @@ func readerFor(c Conn, m *kernelMetrics, mkey uint64) frameReader {
 // drive flushes after every frame.
 type recvReader struct{ c Conn }
 
-func (r recvReader) next(_ *netArena, wait bool) ([]byte, error) {
+func (r recvReader) next(wait bool) ([]byte, error) {
 	if !wait {
 		return nil, nil
 	}
@@ -147,12 +103,10 @@ func (r recvReader) next(_ *netArena, wait bool) ([]byte, error) {
 // and once more before drive returns, so that a final response (the error
 // frame ahead of a poison close, or answers in flight at an orderly
 // shutdown) still leaves.
-func drive(r frameReader, onFrame func([]byte, *netArena) bool, idle func() bool) {
-	var ar netArena
-	defer ar.release()
+func drive(r frameReader, onFrame func([]byte) bool, idle func() bool) {
 	wait := false
 	for {
-		f, err := r.next(&ar, wait)
+		f, err := r.next(wait)
 		if err != nil {
 			break
 		}
@@ -160,12 +114,11 @@ func drive(r frameReader, onFrame func([]byte, *netArena) bool, idle func() bool
 			if idle != nil && !idle() {
 				return
 			}
-			ar.release()
 			wait = true
 			continue
 		}
 		wait = false
-		if !onFrame(f, &ar) {
+		if !onFrame(f) {
 			break
 		}
 	}

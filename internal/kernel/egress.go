@@ -20,9 +20,10 @@
 //     buffers and handed to Conn.Send one by one at flush, preserving the
 //     interface's per-frame ownership transfer.
 //
-// Buffers come from framePool, a bounded global free list shared with the
-// ingress arenas (netArena overflows into it and refills from it), so the
-// warm request/response cycle circulates a fixed working set instead of
+// Buffers come from framePool, a bounded global free list shared with TCP
+// ingress (the raw reader copies each frame into a pooled buffer, and the
+// serving end returns recyclable request frames to it), so the warm
+// request/response cycle circulates a fixed working set instead of
 // allocating. A mutex'd slice beats sync.Pool here: Put of a []byte boxes
 // the slice header onto the heap, which would put one allocation back on
 // every recycle of the path this pool exists to flatten.
@@ -46,7 +47,7 @@ type bufPool struct {
 }
 
 // framePool is the global buffer free list: egress staging, outbound
-// frame assembly, and ingress arena overflow all share it.
+// frame assembly, and TCP ingress frames all share it.
 var framePool bufPool
 
 const (

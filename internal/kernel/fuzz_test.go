@@ -38,6 +38,13 @@ func FuzzMsgWire(f *testing.F) {
 		marshalMsg(&Msg{Op: "authority-query", Obj: "ipc:7", Args: [][]byte{[]byte("P says ok")}}),
 		{0xff, 0xff, 0xff, 0xff, 0x00},
 		{0x01, 0x00, 0x00, 0x00},
+		// One seed per rejection in unmarshalMsgInto that the seeds above
+		// never reach: a torn obj length, an obj past the end, a torn
+		// argument length, an argument past the end.
+		{0x00, 0x00, 0x00, 0x00, 0x01},
+		{0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 'x'},
+		append(marshalMsg(&Msg{Op: "read", Obj: "obj"}), 0x01, 0x00),
+		append(marshalMsg(&Msg{Op: "read", Obj: "obj"}), 0x03, 0x00, 0x00, 0x00, 'a', 'b'),
 	}
 	for _, s := range seed {
 		f.Add(s)
@@ -45,6 +52,9 @@ func FuzzMsgWire(f *testing.F) {
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		m, err := unmarshalMsg(wire) // must not panic, whatever the input
 		if err != nil {
+			if ErrnoOf(err) != EINVAL {
+				t.Fatalf("malformed wire %x: errno %v (%v), want EINVAL", wire, ErrnoOf(err), err)
+			}
 			return
 		}
 		// Accepted wire must round-trip exactly: unmarshalMsg accepts only
@@ -66,67 +76,20 @@ func FuzzMsgWire(f *testing.F) {
 				t.Fatalf("arg %d not stable", i)
 			}
 		}
-		// Batch extension: any accepted message, framed as a batch, must
-		// round-trip through the batch wire format too.
-		batch := MarshalBatch([]*Msg{m, m2})
-		back, err := UnmarshalBatch(batch)
-		if err != nil {
-			t.Fatalf("batch decode of accepted messages: %v", err)
+		// Reuse: the submission ingress decodes every entry into one
+		// scratch Msg, so decoding over a Msg that already holds another
+		// message must give what the fresh decode gave.
+		sm := Msg{Op: "stale-op", Obj: "stale-obj", Args: [][]byte{[]byte("stale"), {}, []byte("args")}}
+		if !unmarshalMsgInto(&sm, wire) {
+			t.Fatalf("decode into a used Msg rejected accepted wire %x", wire)
 		}
-		if len(back) != 2 || !bytes.Equal(MarshalBatch(back), batch) {
-			t.Fatalf("batch round-trip not stable")
+		if sm.Op != m.Op || sm.Obj != m.Obj || len(sm.Args) != len(m.Args) {
+			t.Fatalf("decode into a used Msg diverges: %+v vs %+v", sm, *m)
 		}
-	})
-}
-
-// FuzzBatchWire fuzzes the batch framing of the submission queue: decoding
-// arbitrary bytes must never panic, and accepted input must round-trip
-// byte-for-byte — the same contract FuzzMsgWire pins for single messages.
-func FuzzBatchWire(f *testing.F) {
-	seed := [][]byte{
-		{},
-		MarshalBatch(nil),
-		MarshalBatch([]*Msg{{}}),
-		MarshalBatch([]*Msg{{Op: "read", Obj: "file:/x"}}),
-		MarshalBatch([]*Msg{
-			{Op: "write", Obj: "obj", Args: [][]byte{[]byte("a"), {}, []byte("bc")}},
-			{Op: "GET", Obj: "web:static", Args: [][]byte{[]byte("/index.html")}},
-		}),
-		{0xff, 0xff, 0xff, 0xff},
-		{0x01, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00},
-	}
-	for _, s := range seed {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, wire []byte) {
-		msgs, err := UnmarshalBatch(wire) // must not panic, whatever the input
-		if err != nil {
-			return
-		}
-		again := MarshalBatch(msgs)
-		if !bytes.Equal(again, wire) {
-			t.Fatalf("encode(decode(batch)) != batch\n in:  %x\n out: %x", wire, again)
-		}
-		// The streaming decoder the remote-batch ingress uses must agree
-		// with the canonical decoder on every accepted frame, including
-		// across reuse of one scratch Msg for the whole batch.
-		var sm Msg
-		rest := wire[4:]
-		for i, m := range msgs {
-			n := binary.LittleEndian.Uint32(rest[:4])
-			rest = rest[4:]
-			if !unmarshalMsgInto(&sm, rest[:n]) {
-				t.Fatalf("streaming decode rejected accepted message %d", i)
+		for i := range m.Args {
+			if !bytes.Equal(sm.Args[i], m.Args[i]) {
+				t.Fatalf("decode into a used Msg diverges on arg %d", i)
 			}
-			if sm.Op != m.Op || sm.Obj != m.Obj || len(sm.Args) != len(m.Args) {
-				t.Fatalf("streaming decode diverges on message %d: %+v vs %+v", i, sm, *m)
-			}
-			for j := range m.Args {
-				if !bytes.Equal(sm.Args[j], m.Args[j]) {
-					t.Fatalf("streaming decode diverges on message %d arg %d", i, j)
-				}
-			}
-			rest = rest[n:]
 		}
 	})
 }
@@ -203,7 +166,13 @@ func remoteFuzzConn(t *testing.T) Conn {
 // request id and carries a valid non-EOK errno, and tears the connection
 // down (cleanly) only when the request id is undecodable.
 func FuzzRemoteSubmitFrame(f *testing.F) {
-	valid := MarshalBatch([]*Msg{{Op: "read", Obj: "obj"}, {Op: "write", Obj: "obj", Args: [][]byte{[]byte("x")}}})
+	// valid is a two-entry batch as SubmitRemote frames it: a u32 count,
+	// then each entry's u32 length and message.
+	valid := binary.LittleEndian.AppendUint32(nil, 2)
+	for _, m := range []*Msg{{Op: "read", Obj: "obj"}, {Op: "write", Obj: "obj", Args: [][]byte{[]byte("x")}}} {
+		valid = binary.LittleEndian.AppendUint32(valid, uint32(msgWireSize(m)))
+		valid = appendMsgWire(valid, m)
+	}
 	pp := binary.AppendUvarint(binary.AppendUvarint(nil, 7), 1)
 	f.Add([]byte{1}, append(append([]byte{}, pp...), valid...))
 	f.Add([]byte{1}, append(append([]byte{}, pp...), 0xff, 0xff, 0xff, 0xff)) // count overflow

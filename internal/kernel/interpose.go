@@ -21,6 +21,12 @@ const (
 // response. Interposition composes: multiple monitors stack on one channel,
 // and the interpose call itself can be monitored.
 //
+// Every call path keeps this contract: Kernel.Call, Session.Call and
+// Submit, and on a remote handle CallRemote and SubmitRemote, hand the
+// handler (across the wire, for a remote one) the message as the chain
+// left it, and pass every admitted call's result through OnReturn,
+// whatever its error.
+//
 // Monitors receive the caller as an ABI value (Caller), never a kernel
 // object pointer. The wire buffer is valid only for the duration of the
 // call — batched submissions marshal into a reused arena — so a monitor

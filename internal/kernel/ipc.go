@@ -155,47 +155,22 @@ func marshalMsg(m *Msg) []byte {
 
 // DecodeWire decodes a marshaled message; user-level reference monitors use
 // it to inspect the copies they receive across the protection boundary.
+// Argument buffers alias buf. Malformed input is an EINVAL-classed ABI
+// error with one detail text, whatever part of the message is torn.
 func DecodeWire(buf []byte) (*Msg, error) { return unmarshalMsg(buf) }
 
 // MarshalMsgForBench exposes message marshaling to the ablation benchmarks.
 func MarshalMsgForBench(m *Msg) []byte { return marshalMsg(m) }
 
-// unmarshalMsg decodes a marshaled message; reference monitors use it to
-// inspect rewritten argument buffers. Malformed input is an EINVAL-classed
-// ABI error (this is the DecodeWire surface monitors see).
+// unmarshalMsg decodes a marshaled message into a fresh Msg with
+// unmarshalMsgInto (wire_net.go), the one decoder of the message form,
+// which the serving kernel's submission ingress also runs.
 //
 //nexus:errno
 func unmarshalMsg(buf []byte) (*Msg, error) {
 	m := &Msg{}
-	next := func() ([]byte, error) {
-		if len(buf) < 4 {
-			return nil, abiErr(EINVAL, "decode-msg", "truncated message header")
-		}
-		n := binary.LittleEndian.Uint32(buf[:4])
-		buf = buf[4:]
-		if uint32(len(buf)) < n {
-			return nil, abiErr(EINVAL, "decode-msg", "truncated message body")
-		}
-		out := buf[:n]
-		buf = buf[n:]
-		return out, nil
-	}
-	op, err := next()
-	if err != nil {
-		return nil, err
-	}
-	m.Op = string(op)
-	obj, err := next()
-	if err != nil {
-		return nil, err
-	}
-	m.Obj = string(obj)
-	for len(buf) > 0 {
-		a, err := next()
-		if err != nil {
-			return nil, err
-		}
-		m.Args = append(m.Args, a)
+	if !unmarshalMsgInto(m, buf) {
+		return nil, abiErr(EINVAL, "decode-msg", "malformed message")
 	}
 	return m, nil
 }

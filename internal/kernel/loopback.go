@@ -180,11 +180,11 @@ func (c *loopConn) Send(frame []byte) error {
 
 // Recv blocks for one frame. Frames queued before a close still drain, so
 // an orderly shutdown delivers responses already in flight.
-func (c *loopConn) Recv() ([]byte, error) { return c.next(nil, true) }
+func (c *loopConn) Recv() ([]byte, error) { return c.next(true) }
 
 // next is the frameReader side of Recv: with wait false it returns
 // (nil, nil) instead of blocking on an empty queue.
-func (c *loopConn) next(_ *netArena, wait bool) ([]byte, error) {
+func (c *loopConn) next(wait bool) ([]byte, error) {
 	st := c.st
 	st.mu.Lock()
 	for wait && st.head[c.r] == len(st.q[c.r]) && !st.closed {

@@ -66,7 +66,10 @@ func (s *Session) CallRemote(c Cap, m *Msg) ([]byte, error) {
 // survivors ship as one fSubmit frame, the serving kernel executes them in
 // order through the same hoisted admission against this session's proxy,
 // and one completion vector comes back. Operations that fail locally
-// complete locally and are not shipped.
+// complete locally and are not shipped. As on every other path, the wire
+// carries the message as the chain left it and every shipped operation's
+// result passes the OnReturn sweep; with a monitor bound, each entry is
+// therefore encoded again after its OnCall sweep.
 //
 // The contract matches Submit: comps is reused when it has capacity,
 // per-op failures land in Completion.Err, and the error return is reserved
@@ -121,6 +124,12 @@ func (s *Session) SubmitRemote(ctx context.Context, c Cap, subs []Sub, comps []C
 	frame = append(frame, 0, 0, 0, 0) // batch count, patched below
 
 	sent := make([]int, 0, len(subs))
+	// With a monitor bound, shipped keeps each shipped operation's message
+	// as the chain left it, for the OnReturn sweep over its result.
+	var shipped []Msg
+	if len(ba.chain) != 0 {
+		shipped = make([]Msg, 0, len(subs))
+	}
 	var m Msg
 	canceled := false
 	var done <-chan struct{}
@@ -146,8 +155,8 @@ func (s *Session) SubmitRemote(ctx context.Context, c Cap, subs []Sub, comps []C
 		m = Msg{Op: sub.Op, Obj: sub.Obj, Args: sub.Args}
 		// The interposition wire copy IS the batch entry: the canonical
 		// encoding is appended straight into the frame (after a length
-		// placeholder) and the OnCall sweep inspects it there, so a
-		// locally-admitted operation is marshaled exactly once end to end.
+		// placeholder) and the OnCall sweep inspects it there, so with no
+		// monitor bound an operation is marshaled exactly once end to end.
 		lenAt := len(frame)
 		frame = append(frame, 0, 0, 0, 0)
 		frame = appendMsgWire(frame, &m)
@@ -155,6 +164,15 @@ func (s *Session) SubmitRemote(ctx context.Context, c Cap, subs []Sub, comps []C
 			frame = frame[:lenAt]
 			comps[i].Err = err
 			continue
+		}
+		if shipped != nil {
+			// OnCall may rewrite m in place, so the entry is encoded
+			// again from m: the wire carries what the chain left. The new
+			// encoding goes past the old one first, which m may alias.
+			end := len(frame)
+			frame = appendMsgWire(frame, &m)
+			frame = append(frame[:lenAt+4], frame[end:]...)
+			shipped = append(shipped, m)
 		}
 		binary.LittleEndian.PutUint32(frame[lenAt:lenAt+4], uint32(len(frame)-lenAt-4))
 		sent = append(sent, i)
@@ -183,12 +201,17 @@ func (s *Session) SubmitRemote(ctx context.Context, c Cap, subs []Sub, comps []C
 		peer.fail()
 		return comps, ErrTransportClosed
 	}
-	for _, ci := range sent {
+	for j, ci := range sent {
 		// Out aliases the response frame, which is exclusively ours.
 		out, opErr, ok := r.completion()
 		if !ok {
 			peer.fail()
 			return comps, ErrTransportClosed
+		}
+		if shipped != nil {
+			// As dispatch does for CallRemote: every shipped operation's
+			// result passes the OnReturn sweep, whatever its error.
+			out = ba.unwind(&shipped[j], out)
 		}
 		comps[ci].Out, comps[ci].Err = out, opErr
 	}

@@ -92,12 +92,12 @@ func (t *tcpReader) read(fd uintptr) bool {
 	return true
 }
 
-// next returns the next whole frame, copied into an arena buffer.
+// next returns the next whole frame, copied into a framePool buffer.
 //
 //nexus:noalloc
-func (t *tcpReader) next(ar *netArena, wait bool) ([]byte, error) {
+func (t *tcpReader) next(wait bool) ([]byte, error) {
 	for {
-		if f, err := t.cut(ar); f != nil || err != nil {
+		if f, err := t.cut(); f != nil || err != nil {
 			return f, err
 		}
 		if t.dry && !wait {
@@ -116,7 +116,7 @@ func (t *tcpReader) next(ar *netArena, wait bool) ([]byte, error) {
 		}
 		if err == nil {
 			t.dry = t.n < rxSize
-			t.hold(t.rx[:t.n], ar)
+			t.hold(t.rx[:t.n])
 		}
 		if t.rx != nil {
 			rxPool.Put(t.rx)
@@ -151,8 +151,9 @@ func nextFrame(b []byte) (body []byte, n int, err error) {
 }
 
 // cut returns the first whole frame among the bytes the connection holds,
-// copied into an arena buffer, or nil when there is none.
-func (t *tcpReader) cut(ar *netArena) ([]byte, error) {
+// copied into a framePool buffer, or nil when there is none. The held
+// buffer goes back to the pool once every byte in it was cut.
+func (t *tcpReader) cut() ([]byte, error) {
 	if t.pend == nil {
 		return nil, nil
 	}
@@ -160,29 +161,29 @@ func (t *tcpReader) cut(ar *netArena) ([]byte, error) {
 	if n == 0 {
 		return nil, err
 	}
-	f := ar.get(len(body))
+	f := getFrameBuf(len(body))
 	copy(f, body)
 	if t.off += n; t.off == len(t.pend) {
-		ar.put(t.pend)
+		putFrameBuf(t.pend)
 		t.pend, t.off = nil, 0
 	}
 	return f, nil
 }
 
 // hold appends b, bytes read but not yet returned as a frame, to what the
-// connection holds, moving the held bytes into a larger arena buffer when
-// they do not fit (doubling) and to the front of the buffer only when a
-// frame was cut from it, so a large frame assembles in linear time.
-func (t *tcpReader) hold(b []byte, ar *netArena) {
+// connection holds, moving the held bytes into a larger framePool buffer
+// when they do not fit (doubling) and to the front of the buffer only when
+// a frame was cut from it, so a large frame assembles in linear time.
+func (t *tcpReader) hold(b []byte) {
 	if len(b) == 0 {
 		return
 	}
 	held := t.pend[t.off:]
 	if need := len(held) + len(b); need > cap(t.pend) {
-		buf := ar.get(max(need, 2*cap(t.pend)))[:0]
+		buf := getFrameBuf(max(need, 2*cap(t.pend)))[:0]
 		buf = append(buf, held...)
 		if t.pend != nil {
-			ar.put(t.pend)
+			putFrameBuf(t.pend)
 		}
 		t.pend = buf
 	} else if t.off > 0 {

@@ -24,12 +24,11 @@ func TestHoldLinear(t *testing.T) {
 	reassemble := func() *tcpReader {
 		ts := &tcpReader{pend: buf[:0]}
 		for rest := stream; len(rest) > 0; rest = rest[min(rxSize, len(rest)):] {
-			ts.hold(rest[:min(rxSize, len(rest))], &netArena{})
+			ts.hold(rest[:min(rxSize, len(rest))])
 		}
 		return ts
 	}
-	var ar netArena
-	if f, err := reassemble().cut(&ar); err != nil || !bytes.Equal(f, stream[4:]) {
+	if f, err := reassemble().cut(); err != nil || !bytes.Equal(f, stream[4:]) {
 		t.Fatalf("the frame did not reassemble (err %v)", err)
 	}
 	fastest := func(f func()) time.Duration {
@@ -87,7 +86,6 @@ func FuzzFrameSplit(f *testing.F) {
 		// 0 meaning a full receive buffer), then cut until it holds no frame.
 		var (
 			ts  tcpReader
-			ar  netArena
 			got [][]byte
 			err error
 		)
@@ -98,7 +96,7 @@ func FuzzFrameSplit(f *testing.F) {
 			}
 			if f != nil {
 				got = append(got, append([]byte(nil), f...))
-				ar.put(f)
+				putFrameBuf(f)
 			}
 			return f != nil
 		}
@@ -110,8 +108,8 @@ func FuzzFrameSplit(f *testing.F) {
 			n = min(n, len(stream))
 			chunk := stream[:n]
 			stream = stream[n:]
-			ts.hold(chunk, &ar)
-			for collect(ts.cut(&ar)) {
+			ts.hold(chunk)
+			for collect(ts.cut()) {
 			}
 		}
 

@@ -51,11 +51,11 @@
 // own (drive, driver.go): the serving side runs its handlers inline, and a
 // dialed peer's goroutine delivers responses to the callers waiting on
 // them. On Linux a TCP end reads its socket directly and waits in the
-// runtime netpoller (tcpreader_linux.go). Frames arrive in the end's pooled
-// arena, request frames whose payload cannot escape the exchange are
-// recycled after the response is sent, and outbound frames leave through
-// per-connection egress combiners (egress.go): the responses staged during
-// one read burst flush as a single write when the burst ends.
+// runtime netpoller (tcpreader_linux.go). Frames arrive in framePool
+// buffers, request frames whose payload cannot escape the exchange go back
+// to the pool after the response is staged, and outbound frames leave
+// through per-connection egress combiners (egress.go): the responses staged
+// during one read burst flush as a single write when the burst ends.
 //
 // Backpressure. The in-flight window is the only bound on a connection.
 // The server handles each request as it reads it and keeps no backlog, and
@@ -754,8 +754,8 @@ func (p *Peer) fail() {
 // that silent corruption into ErrTransportClosed.
 //
 // Response payloads escape to the waiting caller, so response frames are
-// never recycled into the arena.
-func (p *Peer) onFrame(frame []byte, _ *netArena) bool {
+// never recycled.
+func (p *Peer) onFrame(frame []byte) bool {
 	m := p.n.k.metrics
 	m.add(p.mkey, mNetRecvs, 1)
 	m.add(p.mkey, mNetRecvBytes, uint64(len(frame)))
@@ -1318,7 +1318,7 @@ func (sc *serverConn) idle() bool {
 // high-water mark — so a pipelined burst answered in one pass leaves as one
 // write. A response larger than maxNetFrame is replaced by an EINVAL error
 // frame for its request. Returning false tears the connection down.
-func (sc *serverConn) onFrame(frame []byte, ar *netArena) bool {
+func (sc *serverConn) onFrame(frame []byte) bool {
 	m := sc.k.metrics
 	m.add(sc.mkey, mNetRecvs, 1)
 	m.add(sc.mkey, mNetRecvBytes, uint64(len(frame)))
@@ -1350,10 +1350,10 @@ func (sc *serverConn) onFrame(frame []byte, ar *netArena) bool {
 	switch typ {
 	case fConnect, fSubmit, fXferRe:
 		// These request payloads cannot escape the exchange (everything
-		// retained is copied), so the buffer returns to the arena.
+		// retained is copied), so the buffer returns to framePool.
 		// fXfer and fSetProof are excluded: decoded certificates alias
 		// their frames and are retained in per-connection tables.
-		ar.put(frame)
+		putFrameBuf(frame)
 	}
 	if sc.eg.full() {
 		if sc.eg.flush() != nil {

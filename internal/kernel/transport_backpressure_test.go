@@ -236,7 +236,7 @@ func TestPeerReaderNeverSends(t *testing.T) {
 		if err != nil {
 			t.Fatalf("begin %d: %v", i, err)
 		}
-		if !p.onFrame(binary.AppendUvarint([]byte{fOK}, id), &netArena{}) {
+		if !p.onFrame(binary.AppendUvarint([]byte{fOK}, id)) {
 			t.Fatalf("response %d poisoned the peer", i)
 		}
 		<-ch
@@ -277,7 +277,7 @@ func TestInflightWindow(t *testing.T) {
 	}
 	full("after an abort and one begin")
 
-	if !p.onFrame(binary.AppendUvarint([]byte{fOK}, ids[1]), &netArena{}) {
+	if !p.onFrame(binary.AppendUvarint([]byte{fOK}, ids[1])) {
 		t.Fatal("response poisoned the peer")
 	}
 	<-chans[1]

@@ -318,6 +318,117 @@ func TestRemoteErrorParity(t *testing.T) {
 	}
 }
 
+// TestRemoteEgressInterposition: a monitor bound to a remote handle's
+// forwarder port on the dialing kernel governs every egress path alike. On
+// CallRemote, Session.Call, a one-entry Session.Submit and a one-entry
+// SubmitRemote, a blocked call fails with EACCES without reaching the
+// serving handler, an OnCall rewrite of the message is what the serving
+// handler sees — also when the rewrite lengthens the object and points
+// the arguments into the wire copy the monitor was shown — and the
+// OnReturn rewrite reaches the caller.
+func TestRemoteEgressInterposition(t *testing.T) {
+	w := newTwoNodes(t)
+	srv, err := w.store.NewSession([]byte("egress-srv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var handled atomic.Int64
+	pc, err := srv.Listen(func(_ kernel.Caller, m *kernel.Msg) ([]byte, error) {
+		handled.Add(1)
+		out := "saw:" + m.Obj
+		for _, a := range m.Args {
+			out += ":" + string(a)
+		}
+		return []byte(out), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	port, _ := srv.PortOf(pc)
+	if err := w.nStore.Export("egress", port); err != nil {
+		t.Fatal(err)
+	}
+	cli, err := w.front.NewSession([]byte("egress-cli"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cli.Connect(w.peer, "egress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd, _ := cli.PortOf(c)
+	mon := kernel.FuncMonitor{
+		Call: func(_ kernel.Caller, m *kernel.Msg, wire []byte) kernel.Verdict {
+			switch m.Obj {
+			case "blocked":
+				return kernel.VerdictBlock
+			case "secret":
+				m.Obj = "redacted"
+			case "widen":
+				dm, err := kernel.DecodeWire(wire)
+				if err != nil {
+					return kernel.VerdictBlock
+				}
+				m.Obj, m.Args = "widened-object", dm.Args
+			}
+			return kernel.VerdictAllow
+		},
+		Ret: func(_ kernel.Caller, _ *kernel.Msg, out []byte) []byte {
+			return append([]byte("ret:"), out...)
+		},
+	}
+	if _, err := w.front.Interpose(mustProc(t, w.front, cli.PID()), fwd, mon); err != nil {
+		t.Fatal(err)
+	}
+
+	paths := []struct {
+		name string
+		call func(obj string, args [][]byte) ([]byte, error)
+	}{
+		{"CallRemote", func(obj string, args [][]byte) ([]byte, error) {
+			return cli.CallRemote(c, &kernel.Msg{Op: "read", Obj: obj, Args: args})
+		}},
+		{"Session.Call", func(obj string, args [][]byte) ([]byte, error) {
+			return cli.Call(c, &kernel.Msg{Op: "read", Obj: obj, Args: args})
+		}},
+		{"Session.Submit", func(obj string, args [][]byte) ([]byte, error) {
+			comps, err := cli.Submit(nil, []kernel.Sub{{Cap: c, Op: "read", Obj: obj, Args: args}}, nil)
+			if err != nil {
+				return nil, err
+			}
+			return comps[0].Out, comps[0].Err
+		}},
+		{"SubmitRemote", func(obj string, args [][]byte) ([]byte, error) {
+			comps, err := cli.SubmitRemote(nil, c, []kernel.Sub{{Cap: c, Op: "read", Obj: obj, Args: args}}, nil)
+			if err != nil {
+				return nil, err
+			}
+			return comps[0].Out, comps[0].Err
+		}},
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			before := handled.Load()
+			if out, err := p.call("blocked", nil); !errors.Is(err, kernel.ErrDenied) {
+				t.Errorf("blocked: got %q, %v; want EACCES", out, err)
+			}
+			if n := handled.Load() - before; n != 0 {
+				t.Errorf("blocked: the serving handler ran %d times, want 0", n)
+			}
+			if out, err := p.call("secret", nil); err != nil || string(out) != "ret:saw:redacted" {
+				t.Errorf("secret: got %q, %v; want %q", out, err, "ret:saw:redacted")
+			}
+			want := "ret:saw:widened-object:first:second"
+			if out, err := p.call("widen", [][]byte{[]byte("first"), []byte("second")}); err != nil || string(out) != want {
+				t.Errorf("widen: got %q, %v; want %q", out, err, want)
+			}
+			if n := handled.Load() - before; n != 2 {
+				t.Errorf("the serving handler ran %d times, want 2", n)
+			}
+		})
+	}
+}
+
 func mustProc(t *testing.T, k *kernel.Kernel, pid int) *kernel.Process {
 	t.Helper()
 	p, ok := k.Lookup(pid)

@@ -195,7 +195,9 @@ func (r *netCursor) completion() (out []byte, opErr error, ok bool) {
 // reusing m's Args backing array and keeping the previous Op/Obj strings
 // when the bytes match — in a homogeneous batch the per-op string cost
 // collapses to the first message. Argument buffers alias buf, matching the
-// *Msg lifetime contract (valid for the duration of the dispatch).
+// *Msg lifetime contract (valid for the duration of the dispatch). It is
+// the message form's one decoder: submission ingress runs it over every
+// entry, and DecodeWire over a fresh Msg (unmarshalMsg).
 func unmarshalMsgInto(m *Msg, buf []byte) bool {
 	if len(buf) < 4 {
 		return false
