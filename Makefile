@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt vet lint lint-fix-hints build test race bench-smoke bench-json bench-compare bench-parallel perfbench-check fuzz-smoke api-check api-update leakcheck
+.PHONY: check fmt vet lint lint-fix-hints build test race alloc-pins bench-smoke bench-json bench-compare bench-parallel perfbench-check fuzz-smoke api-check api-update leakcheck
 
 # check is the CI gate: formatting, static analysis (vet for linux, darwin
-# and windows, plus nexuslint), build, the full race suite, the
-# API-stability gate, the transport goroutine-leak gate, a benchmark smoke
-# so no benchmark can bit-rot, and vet + tests of the perfbench module.
-check: fmt vet lint build race api-check leakcheck bench-smoke perfbench-check
+# and windows, plus nexuslint), build, the full race suite, the allocation
+# pins without the race detector, the API-stability gate, the transport
+# goroutine-leak gate, a benchmark smoke so no benchmark can bit-rot, and
+# vet + tests of the perfbench module.
+check: fmt vet lint build race alloc-pins api-check leakcheck bench-smoke perfbench-check
 
 # fmt fails when gofmt would reformat any Go file.
 fmt:
@@ -70,6 +71,13 @@ test:
 race:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./...
 
+# alloc-pins runs every allocation pin (TestAlloc*) without the race
+# detector. Under -race the runtime randomizes sync.Pool reuse, so the pins
+# on pooled paths skip themselves in the race suite; this is where they
+# run.
+alloc-pins:
+	$(GO) test -timeout $(TEST_TIMEOUT) -run '^TestAlloc' ./...
+
 # bench-smoke runs every benchmark in the root package and the ledger once
 # (-benchtime=1x), every BENCH row and paper exhibit included, so bench
 # code cannot rot; use bench-json and bench-parallel for measurements.
@@ -78,13 +86,15 @@ bench-smoke:
 
 # bench-json regenerates BENCH_net.json, BENCH_abi.json, BENCH_proof.json
 # and BENCH_ledger.json: five runs of each recorded benchmark, folded by
-# cmd/experiments into the median, min and max of every unit. Before it
-# replaces a file, cmd/experiments prints every row and unit whose new
-# median lies outside the file's min–max.
+# cmd/experiments into the median, min and max of every unit, under a
+# header naming the machine, the Go version and the commit (go run stamps
+# the revision only with -buildvcs=true). Before it replaces a file,
+# cmd/experiments prints every row and unit whose new median lies outside
+# the file's min–max.
 BENCH_JSON_RUN = $(GO) test -run=XXX -bench='^Benchmark(Net|ABI|Proof|Ledger)$$' -benchmem -count=5 -timeout=30m . ./internal/ledger
 
 bench-json:
-	$(BENCH_JSON_RUN) | $(GO) run ./cmd/experiments
+	$(BENCH_JSON_RUN) | $(GO) run -buildvcs=true ./cmd/experiments
 
 # bench-compare measures the working tree against HEAD on this machine. It
 # builds the bench-json test binaries (root package and internal/ledger)

@@ -13,7 +13,10 @@
 // The sub-benchmarks of BenchmarkNet, BenchmarkABI, BenchmarkProof and
 // BenchmarkLedger become the rows of BENCH_net.json, BENCH_abi.json,
 // BENCH_proof.json and BENCH_ledger.json in the current directory, under
-// the goos, goarch and cpu lines go test printed. Before it replaces a
+// a header of the goos, goarch and cpu lines go test printed and the
+// machine's processor count, the Go version and the commit of the source
+// (the VCS revision stamped into this command, else a digest of the Go
+// sources under the current directory). Before it replaces a
 // BENCH file that exists, it prints every row and unit whose new median
 // lies outside that file's min–max (make bench-compare uses this to
 // compare the working tree with HEAD). Every other top-level
@@ -28,6 +31,8 @@ package main
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -35,6 +40,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -73,19 +80,76 @@ type benchFile struct {
 	Goos   string `json:"goos"`
 	Goarch string `json:"goarch"`
 	CPU    string `json:"cpu"`
-	Rows   []*row `json:"rows"`
+	host
+	Rows []*row `json:"rows"`
+}
+
+// host is what a BENCH file records of the machine and source beyond go
+// test's header lines; GOMAXPROCS is recorded per row.
+type host struct {
+	Nproc     int    `json:"nproc"`
+	GoVersion string `json:"go_version"`
+	Commit    string `json:"commit"`
 }
 
 func main() {
-	if err := run(os.Stdin, os.Stdout, "."); err != nil {
+	h := host{Nproc: runtime.NumCPU(), GoVersion: runtime.Version(), Commit: commit()}
+	if err := run(os.Stdin, os.Stdout, ".", h); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-// run converts the benchmark output on in, writing BENCH files into dir
-// and tables to out.
-func run(in io.Reader, out io.Writer, dir string) error {
+// commit names the source the benchmarks were built from: the VCS
+// revision stamped into this command when it was built inside a
+// repository, else a digest of the Go sources and module files under the
+// current directory.
+func commit() string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		rev, dirty := "", ""
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				if s.Value == "true" {
+					dirty = "+dirty"
+				}
+			}
+		}
+		if rev != "" {
+			return rev + dirty
+		}
+	}
+	h := sha256.New()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !(strings.HasSuffix(path, ".go") || d.Name() == "go.mod") {
+			return nil
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		io.WriteString(h, path+"\x00")
+		_, err = io.Copy(h, f)
+		return err
+	})
+	if err != nil {
+		return "unknown"
+	}
+	return "tree:" + hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// run converts the benchmark output on in, writing BENCH files, headed by
+// h, into dir and tables to out.
+func run(in io.Reader, out io.Writer, dir string, h host) error {
 	files := map[string]*benchFile{}
 	var tables []*row
 	byKey := map[string]*row{}
@@ -114,7 +178,7 @@ func run(in io.Reader, out io.Writer, dir string) error {
 			if name, ok := groups[r.path[0]]; ok {
 				bf := files[name]
 				if bf == nil {
-					bf = &benchFile{Goos: header["goos"], Goarch: header["goarch"], CPU: header["cpu"]}
+					bf = &benchFile{Goos: header["goos"], Goarch: header["goarch"], CPU: header["cpu"], host: h}
 					files[name] = bf
 				}
 				r.Name = strings.Join(r.path[1:], "/")

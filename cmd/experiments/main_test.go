@@ -8,11 +8,15 @@ import (
 	"testing"
 )
 
+// goldenHost stands in for the machine and source in the golden output.
+var goldenHost = host{Nproc: 4, GoVersion: "go1.test", Commit: "0123456789ab"}
+
 // TestGolden converts testdata/bench.txt (-count 3, -cpu 1,4, a custom
 // unit) over a previous BENCH_net.json (testdata/BENCH_net.prev.json) and
-// compares the BENCH file and the standard output — the report of units
-// outside the previous file's min–max, then the tables — with the
-// committed golden output. Only groups present in the input are written.
+// compares the BENCH file, headed by goldenHost, and the standard output —
+// the report of units outside the previous file's min–max, then the
+// tables — with the committed golden output. Only groups present in the
+// input are written.
 func TestGolden(t *testing.T) {
 	in, err := os.Open("testdata/bench.txt")
 	if err != nil {
@@ -28,7 +32,7 @@ func TestGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run(in, &out, dir); err != nil {
+	if err := run(in, &out, dir, goldenHost); err != nil {
 		t.Fatal(err)
 	}
 	written, err := os.ReadDir(dir)
@@ -70,7 +74,7 @@ func TestRejectsUnparsedLines(t *testing.T) {
 		"panic: boom",
 	} {
 		in := strings.NewReader("goos: linux\n" + line + "\nPASS\n")
-		if err := run(in, &bytes.Buffer{}, t.TempDir()); err == nil {
+		if err := run(in, &bytes.Buffer{}, t.TempDir(), goldenHost); err == nil {
 			t.Errorf("%q: accepted", line)
 		}
 	}

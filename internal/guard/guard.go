@@ -54,6 +54,10 @@ type Generic struct {
 	quotas  map[string]int // canonical root principal → live entries
 
 	stats cachestat.Counters
+
+	// consult is the authority method, bound once so a check's proof.Env
+	// carries it without building a closure.
+	consult func(channel string, f nal.Formula) bool
 }
 
 // proofShard is one stripe of the proof cache: an entry map plus FIFO
@@ -69,12 +73,7 @@ type proofShard struct {
 // re-run its authority consultations.
 type cachedProof struct {
 	owner       string // canonical root principal, for per-principal eviction
-	authorities []authStep
-}
-
-type authStep struct {
-	channel string
-	f       nal.Formula
+	authorities []proof.Consultation
 }
 
 // DefaultCacheSize bounds the proof cache.
@@ -95,6 +94,7 @@ func New(k *kernel.Kernel) *Generic {
 	for i := range g.shards {
 		g.shards[i].entries = map[string]*cachedProof{}
 	}
+	g.consult = g.authority
 	g.maxCache.Store(DefaultCacheSize)
 	g.quota.Store(DefaultQuota)
 	return g
@@ -133,8 +133,8 @@ func (g *Generic) Stats() (hits, misses, evictions uint64) {
 func (g *Generic) StatsSnapshot() cachestat.Stats { return g.stats.Snapshot() }
 
 // shardIndex selects the stripe holding key.
-func shardIndex(key string) int {
-	return int(nal.HashString(key) & (guardShards - 1))
+func shardIndex(key []byte) int {
+	return int(nal.HashBytes(key) & (guardShards - 1))
 }
 
 // Check implements kernel.Guard.
@@ -142,8 +142,8 @@ func shardIndex(key string) int {
 // A proof-cache hit allocates nothing (pinned by TestAllocGuardProofCacheHit
 // and, through the kernel, TestAllocRemoteCallAuthzWarm): the key is
 // rendered into a stack buffer with the goal's variables bound in place,
-// credentials resolve into stack arrays, and the goal is instantiated only
-// on a miss, where the proof checker needs it.
+// and credentials resolve into stack arrays. A miss allocates only what it
+// caches (checkMiss).
 //
 //nexus:noalloc
 func (g *Generic) Check(req *kernel.GuardRequest) kernel.GuardDecision {
@@ -161,43 +161,42 @@ func (g *Generic) Check(req *kernel.GuardRequest) kernel.GuardDecision {
 	b := nal.Binding{Subject: req.Subject, Obj: req.Obj, Op: req.Op}
 	var keyBuf [256]byte // a longer key spills to the heap
 	key := appendCacheKey(keyBuf[:0], req.Goal, &b, req.Proof, creds, credIDs)
-	sh := &g.shards[nal.HashBytes(key)&(guardShards-1)]
+	sh := &g.shards[shardIndex(key)]
 	sh.mu.RLock()
 	entry, hit := sh.entries[string(key)]
 	sh.mu.RUnlock()
 	g.stats.Lookup(hit)
 
 	if !hit {
-		return g.checkMiss(req, &b, string(key), creds, credIDs, hasDynamic) //nexus:coldpath — instantiates, checks and caches the proof
+		return g.checkMiss(req, &b, key, creds, credIDs, hasDynamic)
 	}
 	// Structure already validated; only dynamic state needs re-checking.
 	for _, a := range entry.authorities {
-		if !g.authority(a.channel, a.f) { //nexus:coldpath — authorities answer over IPC; label and certificate credentials consult none
+		if !g.authority(a.Channel, a.F) { //nexus:coldpath — authorities answer over IPC; label and certificate credentials consult none
 			return kernel.GuardDecision{Allow: false, Cacheable: false,
-				Reason: fmt.Sprintf("authority %s no longer affirms %s", a.channel, a.f)}
+				Reason: fmt.Sprintf("authority %s no longer affirms %s", a.Channel, a.F)}
 		}
 	}
 	return kernel.GuardDecision{Allow: true, Cacheable: len(entry.authorities) == 0 && !hasDynamic}
 }
 
-// checkMiss is Check on a proof-cache miss: it instantiates the goal,
-// checks the proof, and caches a valid proof under key.
-func (g *Generic) checkMiss(req *kernel.GuardRequest, b *nal.Binding, key string, creds []nal.Formula, credIDs []nal.FormulaID, hasDynamic bool) kernel.GuardDecision {
-	goal := b.Subst().Apply(req.Goal)
-	var auths []authStep
-	env := &proof.Env{
+// checkMiss is Check on a proof-cache miss: it checks the proof against
+// the goal bound by b and caches a valid proof under key, with the
+// authority steps the check reports for re-validation on a hit. A compiled
+// proof is compared with the goal in place, so the miss allocates only
+// what insert stores, and a wrong-goal denial only its reason and error
+// (TestAllocGuardProofCacheMiss).
+func (g *Generic) checkMiss(req *kernel.GuardRequest, b *nal.Binding, key []byte, creds []nal.Formula, credIDs []nal.FormulaID, hasDynamic bool) kernel.GuardDecision {
+	// The Env and its one trust root stay on this frame: the checker
+	// retains neither.
+	trust := [1]nal.Principal{g.k.Prin}
+	env := proof.Env{
 		Credentials:   creds,
 		CredentialIDs: credIDs,
-		TrustRoots:    []nal.Principal{g.k.Prin},
-		Authority: func(ch string, f nal.Formula) bool {
-			if !g.authority(ch, f) {
-				return false
-			}
-			auths = append(auths, authStep{channel: ch, f: f})
-			return true
-		},
+		TrustRoots:    trust[:],
+		Authority:     g.consult,
 	}
-	res, err := proof.Check(req.Proof, goal, env)
+	res, err := proof.CheckBound(req.Proof, req.Goal, b, &env)
 	if err != nil {
 		// A failed check is cacheable only if it cannot become valid
 		// without a proof update (which invalidates the cache entry anyway)
@@ -205,7 +204,7 @@ func (g *Generic) checkMiss(req *kernel.GuardRequest, b *nal.Binding, key string
 		return kernel.GuardDecision{Allow: false, Cacheable: res.AuthorityCalls == 0 && !hasDynamic,
 			Reason: err.Error()}
 	}
-	g.insert(key, req.Subject, auths)
+	g.insert(key, req.Subject, res.Consulted) //nexus:coldpath — allocates only the entry it stores
 	return kernel.GuardDecision{Allow: true, Cacheable: res.Cacheable && !hasDynamic}
 }
 
@@ -299,21 +298,22 @@ func (g *Generic) authority(channel string, f nal.Formula) bool {
 // the per-tree-root quota. Under concurrent insertion the size and quota
 // bounds may transiently overshoot by the number of racing inserters; they
 // are exact when single-threaded.
-func (g *Generic) insert(key string, subject nal.Principal, auths []authStep) {
+func (g *Generic) insert(rawKey []byte, subject nal.Principal, auths []proof.Consultation) {
 	max := g.maxCache.Load()
 	if max <= 0 {
 		return
 	}
-	root := nal.KeyOfPrin(nal.RootOf(subject))
-	si := shardIndex(key)
+	si := shardIndex(rawKey)
 	sh := &g.shards[si]
 
 	sh.mu.RLock()
-	_, exists := sh.entries[key]
+	_, exists := sh.entries[string(rawKey)]
 	sh.mu.RUnlock()
 	if exists {
 		return
 	}
+	key := string(rawKey)
+	root := nal.KeyOfPrin(nal.RootOf(subject))
 
 	g.quotaMu.Lock()
 	overQuota := int64(g.quotas[root]) >= g.quota.Load()

@@ -147,6 +147,11 @@ func abiErr(errno Errno, op, detail string) *Error {
 // class, and anything else (handler-level errors passed through verbatim)
 // reports EOK, meaning "not a kernel ABI failure".
 func ErrnoOf(err error) Errno {
+	// A direct *Error, the common case, is classified without errors.As,
+	// whose target would move to the heap on every call.
+	if e, ok := err.(*Error); ok {
+		return e.Errno
+	}
 	var e *Error
 	if errors.As(err, &e) {
 		return e.Errno

@@ -65,6 +65,10 @@ type RegisteredProof struct {
 }
 
 // Guard decides authorization requests on decision-cache misses (§2.6).
+//
+// Check must not retain req after it returns: the kernel reuses the
+// request for its next upcall. The values req refers to (the goal, the
+// proof, the credentials) may be retained.
 type Guard interface {
 	Check(req *GuardRequest) GuardDecision
 }
@@ -194,7 +198,8 @@ func (k *Kernel) GuardUpcalls() uint64 { return k.guardUpcalls.Load() }
 
 // authorize enforces the goal (if any) on (subject, op, obj): decision
 // cache first, guard upcall on miss (§2.8, Figure 1). The hit path is
-// allocation-free; the miss path (authorizeMiss) allocates by design.
+// allocation-free; the miss path (authorizeMiss) allocates what it stores
+// and a denial's error.
 func (k *Kernel) authorize(from *Process, op, obj string) error {
 	subj := from.PrinString()
 
@@ -208,11 +213,17 @@ func (k *Kernel) authorize(from *Process, op, obj string) error {
 	return k.authorizeMiss(from, subj, op, obj)
 }
 
+// guardReqs recycles the requests authorizeMiss hands to guards, which
+// may not retain them (Guard).
+var guardReqs = sync.Pool{New: func() any { return new(GuardRequest) }}
+
 // authorizeMiss is the cache-miss continuation of authorize: goal lookup,
-// guard upcall, audit record, cache fill. It allocates (GuardRequest,
-// audit record, reason strings) — that cost is the price of a policy
-// decision, paid once per (subject, op, obj) epoch, and is why the
-// decision cache exists.
+// guard upcall, audit record, cache fill. The upcall request comes from a
+// pool, so an allowed decision allocates only what the guard and the
+// decision cache store; a denial allocates its reason and the returned
+// error. It stays //nexus:alloc-ok because those costs, and a designated
+// guard's own, are the price of a policy decision, paid once per
+// (subject, op, obj) epoch when the decision is cacheable.
 //
 //nexus:alloc-ok
 func (k *Kernel) authorizeMiss(from *Process, subj, op, obj string) error {
@@ -259,7 +270,8 @@ func (k *Kernel) authorizeMiss(from *Process, subj, op, obj string) error {
 		return ErrNoGuard
 	}
 
-	req := &GuardRequest{
+	req := guardReqs.Get().(*GuardRequest)
+	*req = GuardRequest{
 		Kernel:  k,
 		Subject: from.Prin,
 		Op:      op,
@@ -276,6 +288,8 @@ func (k *Kernel) authorizeMiss(from *Process, subj, op, obj string) error {
 	t0 := time.Now()
 	dec := g.Check(req)
 	k.metrics.guardNs.observe(time.Since(t0))
+	*req = GuardRequest{} // drop the references before the request idles in the pool
+	guardReqs.Put(req)
 	k.audit.record(subj, op, obj, dec.Allow, dec.Reason)
 	if dec.Cacheable {
 		k.dcache.InsertIf(subj, op, obj, dec.Allow, epoch)

@@ -407,6 +407,21 @@ func TestErrnoTaxonomy(t *testing.T) {
 	}
 }
 
+// TestAllocErrnoOf pins ErrnoOf of a direct *Error at zero allocations:
+// callers classify each denial with it, and the remote error encoder
+// calls it for every error body it writes.
+func TestAllocErrnoOf(t *testing.T) {
+	var err error = abiErr(EACCES, "read", "denied")
+	allocs := testing.AllocsPerRun(200, func() {
+		if ErrnoOf(err) != EACCES {
+			t.Fatal("ErrnoOf lost the class of a direct *Error")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ErrnoOf of a direct *Error allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 func TestSessionSpawnHierarchy(t *testing.T) {
 	k := bootKernel(t)
 	parent, _ := k.NewSession([]byte("parent"))

@@ -95,11 +95,14 @@ func FuzzParsePrincipal(f *testing.F) {
 	})
 }
 
-// FuzzGoalKey checks the bound encoder against the substitution it stands
-// for: for any goal Parse accepts and any subject, object and operation,
-// AppendBound renders exactly the canonical form of the instantiated goal.
-// The guard's proof-cache key is that render, so this equality is what
-// keeps the key as injective as the canonical form.
+// FuzzGoalKey checks the bound encoder and the bound comparison against
+// the substitution they stand for: for any goal Parse accepts and any
+// subject, object and operation, AppendBound renders exactly the canonical
+// form of the instantiated goal, and EqualBound(f, goal, b) answers
+// exactly f.Equal(b.Subst().Apply(goal)) for each candidate f below. The
+// guard's proof-cache key is that render, so the first equality is what
+// keeps the key as injective as the canonical form; the guard's checker
+// compares a proof's conclusion with the goal by EqualBound.
 func FuzzGoalKey(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s, "kernel.ipd.12", "file:/x", "read")
@@ -125,6 +128,29 @@ func FuzzGoalKey(f *testing.F) {
 		}
 		if got := AppendBound(nil, goal, nil); string(got) != goal.String() {
 			t.Fatalf("unbound render of %q is %q, want %q", goalSrc, got, goal.String())
+		}
+
+		// Candidates: the instantiated goal itself, the goal unbound, the
+		// goal bound to the same values in other positions, and the
+		// reparsed render, when it parses.
+		inst := sub.Apply(goal)
+		cands := []Formula{inst, goal,
+			(&Binding{Subject: Name(obj), Obj: op, Op: obj}).Subst().Apply(goal),
+			(&Binding{Subject: subj, Obj: op, Op: obj}).Subst().Apply(goal)}
+		if f, err := Parse(string(want)); err == nil {
+			cands = append(cands, f)
+		}
+		for _, f := range cands {
+			if got, want := EqualBound(f, goal, b), f.Equal(inst); got != want {
+				t.Fatalf("EqualBound(%q, %q) with ?S=%q ?O=%q ?Op=%q is %v, Equal against the instantiated goal %v",
+					f, goalSrc, subj, obj, op, got, want)
+			}
+			if got, want := EqualBound(f, goal, nil), f.Equal(goal); got != want {
+				t.Fatalf("unbound EqualBound(%q, %q) is %v, Equal %v", f, goalSrc, got, want)
+			}
+		}
+		if !EqualBound(inst, goal, b) {
+			t.Fatalf("the instantiated goal %q does not equal %q bound in place", inst, goalSrc)
 		}
 	})
 }

@@ -3,6 +3,8 @@ package proof
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"unsafe"
 
 	"repro/internal/nal"
 )
@@ -48,6 +50,18 @@ type Result struct {
 	AuthorityCalls int
 	// Steps is the total number of rule applications checked.
 	Steps int
+	// Consulted lists, in order, the consultations whose authority
+	// affirmed the statement: on success every authority step of the
+	// proof, which is what a cached proof must re-validate (§2.9). It is
+	// nil for a proof without authority steps.
+	Consulted []Consultation
+}
+
+// Consultation is one authority step a check consulted: the channel asked
+// and the statement it affirmed.
+type Consultation struct {
+	Channel string
+	F       nal.Formula
 }
 
 // Common checker errors.
@@ -58,6 +72,39 @@ var (
 	ErrWrongGoal  = errors.New("proof: conclusion does not discharge goal")
 	ErrEmptyProof = errors.New("proof: empty proof")
 )
+
+// wrongGoalError is ErrWrongGoal with the conclusion and goal that
+// differed.
+type wrongGoalError struct{ msg string }
+
+func (e *wrongGoalError) Error() string { return e.msg }
+func (e *wrongGoalError) Unwrap() error { return ErrWrongGoal }
+
+// errWrongGoal reports that a proof concluded concl where the goal, bound
+// by b, demanded something else. Its text is byte for byte
+// fmt.Errorf("%w: proved %q, goal %q", ErrWrongGoal, concl, instantiated
+// goal): %q of a Stringer is strconv.AppendQuote of its String(). Both
+// canonical forms are rendered into one stack buffer, the goal bound in
+// place, and quoted from it, so a denial allocates the message and the
+// error, and more only when the forms outgrow the buffer.
+//
+//nexus:alloc-ok
+func errWrongGoal(concl, goal nal.Formula, b *nal.Binding) error {
+	var buf [512]byte
+	forms := nal.AppendFormula(buf[:0], concl)
+	n := len(forms)
+	forms = nal.AppendBound(forms, goal, b)
+	// The views alias forms, which nothing writes while they are read:
+	// msg appends past its end, or into a new array once it is full.
+	proved := unsafe.String(unsafe.SliceData(forms), n)
+	want := unsafe.String(unsafe.SliceData(forms[n:]), len(forms)-n)
+	msg := append(forms[len(forms):], ErrWrongGoal.Error()...)
+	msg = append(msg, ": proved "...)
+	msg = strconv.AppendQuote(msg, proved)
+	msg = append(msg, ", goal "...)
+	msg = strconv.AppendQuote(msg, want)
+	return &wrongGoalError{msg: string(msg)}
+}
 
 // Check validates the proof and confirms that its conclusion equals goal.
 // Checking is total: it runs in time linear in proof size regardless of
@@ -70,13 +117,26 @@ var (
 // hash-cons table saturates — take the structural path below, which is the
 // semantic reference.
 func Check(p *Proof, goal nal.Formula, env *Env) (Result, error) {
+	return CheckBound(p, goal, nil, env)
+}
+
+// CheckBound is Check against goal with its guard variables bound by b:
+// the proof must conclude b.Subst().Apply(goal). The compiled path
+// compares the conclusion with goal binding in place (nal.EqualBound) and
+// builds neither the substitution nor the instantiated goal; the
+// structural path instantiates. A nil b binds nothing.
+func CheckBound(p *Proof, goal nal.Formula, b *nal.Binding, env *Env) (Result, error) {
 	if p == nil || len(p.Steps) == 0 {
 		return Result{}, ErrEmptyProof
 	}
-	if c, err := p.Compiled(); err == nil {
-		return c.Check(goal, env)
+	c, err := p.Compiled()
+	if err != nil { //nexus:coldpath — a proof the compiler rejects, or a saturated cons table
+		if b != nil {
+			goal = b.Subst().Apply(goal)
+		}
+		return checkText(p, goal, env)
 	}
-	return checkText(p, goal, env)
+	return c.CheckBound(goal, b, env)
 }
 
 // CheckStructural validates the proof with the structural (AST-equality)
@@ -102,7 +162,7 @@ func checkText(p *Proof, goal nal.Formula, env *Env) (Result, error) {
 		return res, err
 	}
 	if !p.Conclusion().Equal(goal) {
-		return res, fmt.Errorf("%w: proved %q, goal %q", ErrWrongGoal, p.Conclusion(), goal)
+		return res, errWrongGoal(p.Conclusion(), goal, nil)
 	}
 	res.Cacheable = res.AuthorityCalls == 0
 	return res, nil
@@ -169,6 +229,7 @@ func checkStep(s Step, ps []nal.Formula, env *Env, res *Result) error {
 		if env.Authority == nil || !env.Authority(s.Channel, s.F) {
 			return fmt.Errorf("%w: channel %q, statement %q", ErrAuthority, s.Channel, s.F)
 		}
+		res.Consulted = append(res.Consulted, Consultation{Channel: s.Channel, F: s.F})
 		return nil
 
 	case RuleSubPrin:

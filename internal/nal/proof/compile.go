@@ -175,13 +175,22 @@ func (c *Compiled) stepPure(cs *cstep) bool {
 }
 
 // Check validates the compiled proof and confirms its conclusion equals
-// goal, with the semantics of Check on the source proof. The warm path —
-// every formula already interned, memo hits on pure steps — allocates
-// nothing (pinned by TestAllocCompiledProofCheck; nexuslint checks the
-// static view).
+// goal, with the semantics of Check on the source proof.
 //
 //nexus:noalloc
 func (c *Compiled) Check(goal nal.Formula, env *Env) (Result, error) {
+	return c.CheckBound(goal, nil, env)
+}
+
+// CheckBound is Check against goal with its guard variables bound by b,
+// with the semantics of CheckBound on the source proof. The warm path —
+// every formula already interned, memo hits on pure steps — allocates
+// nothing (pinned by TestAllocCompiledProofCheck and, through the guard,
+// TestAllocGuardProofCacheMiss; nexuslint checks the static view); a
+// wrong-goal denial allocates its message and error (errWrongGoal).
+//
+//nexus:noalloc
+func (c *Compiled) CheckBound(goal nal.Formula, b *nal.Binding, env *Env) (Result, error) {
 	var res Result
 	if env == nil {
 		env = &Env{} //nexus:coldpath — warm callers pass their own Env
@@ -204,13 +213,13 @@ func (c *Compiled) Check(goal nal.Formula, env *Env) (Result, error) {
 	if err := checkFrameC(c.steps, credIDs, env, &res); err != nil {
 		return res, err
 	}
-	// One structural comparison of the final conclusion against the goal:
-	// goals are instantiated per request with per-process principals, so
-	// interning them would grow the cons table with process churn; Equal
-	// against the DAG's canonical AST is allocation-free and just as fast
-	// for a single comparison.
-	if !nal.FormulaOfID(c.Conclusion()).Equal(goal) {
-		return res, fmt.Errorf("%w: proved %q, goal %q", ErrWrongGoal, nal.FormulaOfID(c.Conclusion()), goal)
+	// One structural comparison of the final conclusion against the goal,
+	// its variables bound in place: goals are instantiated per request
+	// with per-process principals, so interning them would grow the cons
+	// table with process churn, and EqualBound against the DAG's canonical
+	// AST neither allocates nor builds the instantiated goal.
+	if concl := nal.FormulaOfID(c.Conclusion()); !nal.EqualBound(concl, goal, b) {
+		return res, errWrongGoal(concl, goal, b)
 	}
 	res.Cacheable = res.AuthorityCalls == 0
 	return res, nil
@@ -285,9 +294,11 @@ func checkStepC(s *cstep, credIDs []nal.FormulaID, env *Env, res *Result) error 
 
 	case RuleAuthority:
 		res.AuthorityCalls++
-		if env.Authority == nil || !env.Authority(s.channel, nal.FormulaOfID(s.f)) {
-			return fmt.Errorf("%w: channel %q, statement %q", ErrAuthority, s.channel, nal.FormulaOfID(s.f))
+		f := nal.FormulaOfID(s.f)
+		if env.Authority == nil || !env.Authority(s.channel, f) {
+			return fmt.Errorf("%w: channel %q, statement %q", ErrAuthority, s.channel, f)
 		}
+		res.Consulted = append(res.Consulted, Consultation{Channel: s.channel, F: f}) //nexus:coldpath — authorities answer over IPC; the pinned paths consult none
 		return nil
 
 	case RuleSubPrin:

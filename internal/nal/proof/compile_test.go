@@ -48,7 +48,7 @@ func TestCompiledMatchesStructural(t *testing.T) {
 			t.Errorf("%q: structural err=%v, compiled err=%v", src, wantErr, gotErr)
 			continue
 		}
-		if wantErr == nil && got != want {
+		if wantErr == nil && !sameResult(got, want) {
 			t.Errorf("%q: structural %+v, compiled %+v", src, want, got)
 		}
 	}
@@ -146,7 +146,7 @@ func TestCompiledMemoHits(t *testing.T) {
 	if warm.Hits != 1 {
 		t.Errorf("warm check hits = %d, want 1", warm.Hits)
 	}
-	if res2 != res1 {
+	if !sameResult(res2, res1) {
 		t.Errorf("memo hit changed the result: %+v vs %+v", res2, res1)
 	}
 
@@ -187,7 +187,7 @@ func TestCompiledSubproofMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res1 != res2 {
+	if !sameResult(res1, res2) {
 		t.Errorf("memoized re-check result %+v differs from cold %+v", res2, res1)
 	}
 	if res1.Steps != 3 { // imp-i + two subproof steps
@@ -241,7 +241,7 @@ func TestCheckRoutesThroughCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res != ref {
+	if !sameResult(res, ref) {
 		t.Errorf("Check %+v differs from structural reference %+v", res, ref)
 	}
 	if c, _ := pf.Compiled(); c.Len() != pf.Len() {

@@ -66,6 +66,21 @@ func fuzzEnv(p *Proof) *Env {
 	}
 }
 
+// sameResult reports whether two check results agree field by field, the
+// affirmed consultations by channel and formula.
+func sameResult(a, b Result) bool {
+	if a.Cacheable != b.Cacheable || a.AuthorityCalls != b.AuthorityCalls || a.Steps != b.Steps ||
+		len(a.Consulted) != len(b.Consulted) {
+		return false
+	}
+	for i, c := range a.Consulted {
+		if c.Channel != b.Consulted[i].Channel || !c.F.Equal(b.Consulted[i].F) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzParseProof asserts the proof text format's core contracts: Parse
 // never panics or hangs, accepted proofs round-trip through String with
 // String a fixed point, and the compiled checker agrees with the structural
@@ -112,7 +127,7 @@ func FuzzParseProof(f *testing.F) {
 				t.Fatalf("checker divergence: structural err=%v, compiled err=%v\nproof:\n%s", refErr, cErr, s1)
 			}
 			if refErr == nil {
-				if cRes != refRes {
+				if !sameResult(cRes, refRes) {
 					t.Fatalf("result divergence: structural %+v, compiled %+v\nproof:\n%s", refRes, cRes, s1)
 				}
 			}
@@ -132,7 +147,7 @@ func FuzzParseProof(f *testing.F) {
 				if err != nil {
 					t.Fatalf("memo pass %d rejected a valid proof: %v\nproof:\n%s", pass, err, s1)
 				}
-				if res != refRes {
+				if !sameResult(res, refRes) {
 					t.Fatalf("memo pass %d result %+v differs from %+v\nproof:\n%s", pass, res, refRes, s1)
 				}
 			}
@@ -141,7 +156,7 @@ func FuzzParseProof(f *testing.F) {
 		// The parsed and reparsed proofs must check identically (textual
 		// round-trip preserves semantics, not just syntax).
 		rtRes, rtErr := checkText(p2, goal, fuzzEnv(p2))
-		if (refErr == nil) != (rtErr == nil) || (refErr == nil && rtRes != refRes) {
+		if (refErr == nil) != (rtErr == nil) || (refErr == nil && !sameResult(rtRes, refRes)) {
 			t.Fatalf("round-trip changed check outcome: %v/%+v vs %v/%+v\nproof:\n%s",
 				refErr, refRes, rtErr, rtRes, s1)
 		}

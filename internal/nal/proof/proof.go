@@ -130,7 +130,7 @@ type Proof struct {
 // saturated hash-cons table) is sticky, and callers respond by using the
 // structural checker instead.
 func (p *Proof) Compiled() (*Compiled, error) {
-	p.cOnce.Do(func() { p.compiled, p.cerr = Compile(p) })
+	p.cOnce.Do(func() { p.compiled, p.cerr = Compile(p) }) //nexus:coldpath — runs once per proof; later calls only load the result
 	return p.compiled, p.cerr
 }
 

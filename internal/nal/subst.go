@@ -79,6 +79,116 @@ func (s Subst) Apply(f Formula) Formula {
 	return f
 }
 
+// EqualBound reports whether f equals goal with the guard variables bound
+// by b — f.Equal(b.Subst().Apply(goal)) — without building the
+// substitution or the instantiated goal. It binds exactly where Apply
+// substitutes, as AppendBound does, and compares a bound value without
+// binding inside it; a nil b binds nothing. The guard compares a proof's
+// conclusion with its goal this way.
+//
+// Like the encoders in canon.go, each comparer recurses only into itself.
+func EqualBound(f, goal Formula, b *Binding) bool {
+	switch g := goal.(type) {
+	case Pred:
+		v, ok := f.(Pred)
+		if !ok || v.Name != g.Name || len(v.Args) != len(g.Args) {
+			return false
+		}
+		for i := range g.Args {
+			if !equalBoundTerm(v.Args[i], g.Args[i], b) {
+				return false
+			}
+		}
+		return true
+	case Says:
+		v, ok := f.(Says)
+		return ok && equalBoundPrin(v.P, g.P, b) && EqualBound(v.F, g.F, b)
+	case SpeaksFor:
+		v, ok := f.(SpeaksFor)
+		if !ok || !equalBoundPrin(v.A, g.A, b) || !equalBoundPrin(v.B, g.B, b) || (v.On == nil) != (g.On == nil) {
+			return false
+		}
+		return v.On == nil || v.On.Pred == g.On.Pred
+	case Compare:
+		v, ok := f.(Compare)
+		return ok && v.Op == g.Op && equalBoundTerm(v.L, g.L, b) && equalBoundTerm(v.R, g.R, b)
+	case Not:
+		v, ok := f.(Not)
+		return ok && EqualBound(v.F, g.F, b)
+	case And:
+		v, ok := f.(And)
+		return ok && EqualBound(v.L, g.L, b) && EqualBound(v.R, g.R, b)
+	case Or:
+		v, ok := f.(Or)
+		return ok && EqualBound(v.L, g.L, b) && EqualBound(v.R, g.R, b)
+	case Implies:
+		v, ok := f.(Implies)
+		return ok && EqualBound(v.L, g.L, b) && EqualBound(v.R, g.R, b)
+	}
+	return f.Equal(goal)
+}
+
+// equalBoundTerm is EqualBound for a term t against a goal term g.
+func equalBoundTerm(t, g Term, b *Binding) bool {
+	switch v := g.(type) {
+	case Var:
+		if b != nil {
+			switch v {
+			case "S":
+				w, ok := t.(PrinTerm)
+				return ok && b.Subject.EqualPrin(w.P)
+			case "O":
+				w, ok := t.(Str)
+				return ok && string(w) == b.Obj
+			case "Op":
+				w, ok := t.(Str)
+				return ok && string(w) == b.Op
+			}
+		}
+	case PrinTerm:
+		w, ok := t.(PrinTerm)
+		return ok && equalBoundPrin(w.P, v.P, b)
+	case TermList:
+		w, ok := t.(TermList)
+		if !ok || len(w) != len(v) {
+			return false
+		}
+		for i := range v {
+			if !equalBoundTerm(w[i], v[i], b) {
+				return false
+			}
+		}
+		return true
+	case Func:
+		w, ok := t.(Func)
+		if !ok || w.Name != v.Name || len(w.Args) != len(v.Args) {
+			return false
+		}
+		for i := range v.Args {
+			if !equalBoundTerm(w.Args[i], v.Args[i], b) {
+				return false
+			}
+		}
+		return true
+	}
+	return t.EqualTerm(g)
+}
+
+// equalBoundPrin is EqualBound for a principal p against a goal principal
+// g: only ?S binds in principal position.
+func equalBoundPrin(p, g Principal, b *Binding) bool {
+	switch v := g.(type) {
+	case varPrin:
+		if b != nil && v == "S" {
+			return b.Subject.EqualPrin(p)
+		}
+	case Sub:
+		w, ok := p.(Sub)
+		return ok && w.Tag == v.Tag && equalBoundPrin(w.Parent, v.Parent, b)
+	}
+	return g.EqualPrin(p)
+}
+
 // varPrin is a guard variable in principal position, produced by the parser
 // for "?X says ..." forms.
 type varPrin string
