@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint lint-fix-hints build test race alloc-pins bench-smoke bench-json bench-compare bench-parallel perfbench-check fuzz-smoke api-check api-update leakcheck
+.PHONY: check fmt vet lint lint-fix-hints build test race alloc-pins bench-smoke bench-json bench-compare perfbench-compare bench-parallel perfbench-check fuzz-smoke api-check api-update leakcheck
 
 # check is the CI gate: formatting, static analysis (vet for linux, darwin
 # and windows, plus nexuslint), build, the full race suite, the allocation
@@ -128,6 +128,40 @@ bench-compare:
 		done; \
 	done && \
 	cd "$$tmp/out" && ../experiments < ../head.txt && ../experiments < ../work.txt
+
+# perfbench-compare runs the repository benchmark (perfbench/run.sh) on
+# HEAD and on the working tree, alternately, on this machine: HEAD is
+# exported with git archive into a temporary directory, every pair runs
+# one seed of PERF_SEEDS on both trees for BENCHMARK.json's run_seconds,
+# flipping which goes first each pair, and each tree builds into its own
+# temporary CARGO_TARGET_DIR. cmd/perfcompare then prints every run's
+# end-to-end metrics and failed count, and per tree each end-to-end
+# metric's median, quartiles and min–max and the pairs the working tree
+# won, with the per-layer counts' medians after them. It changes no
+# committed file, and compares uncommitted work, so run it before
+# committing. For example:
+#   make perfbench-compare PERF_WORKLOAD=local-authz-mix PERF_SEEDS="1 2 3 4 5"
+PERF_WORKLOAD ?= fauxbook-archive-tcp
+PERF_SEEDS ?= 1 2 3 4 5 6 7 8 9 10
+
+perfbench-compare:
+	@secs=$$(sed -n 's/.*"run_seconds": *\([0-9][0-9]*\).*/\1/p' BENCHMARK.json) && [ -n "$$secs" ] && \
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	mkdir "$$tmp/head" "$$tmp/runs" && git archive HEAD | tar -x -C "$$tmp/head" && \
+	$(GO) build -o "$$tmp/perfcompare" ./cmd/perfcompare && \
+	pair=0 && for seed in $(PERF_SEEDS); do \
+		pair=$$((pair + 1)); \
+		order="head work"; [ $$((pair % 2)) = 1 ] || order="work head"; \
+		for side in $$order; do \
+			src=$$(pwd); [ $$side = work ] || src=$$tmp/head; \
+			echo "perfbench-compare: pair $$pair, seed $$seed, $$side" >&2; \
+			(cd "$$src" && CARGO_TARGET_DIR="$$tmp/build-$$side" bash perfbench/run.sh \
+				--workload $(PERF_WORKLOAD) --seed $$seed --seconds $$secs --trace 0) \
+				> "$$(printf '%s/runs/%02d-%s-%s.txt' "$$tmp" $$pair $$seed $$side)" || exit 1; \
+		done; \
+	done && \
+	echo "perfbench-compare: $(PERF_WORKLOAD), $$pair pairs of $$secs s" && \
+	"$$tmp/perfcompare" -bench BENCHMARK.json "$$tmp/runs"
 
 # bench-parallel measures multi-core scaling of the authorization fast
 # paths: one table row per GOMAXPROCS.

@@ -108,6 +108,20 @@ func AppendMarshal(dst []byte, b *Buf) []byte {
 // MarshalSize reports the length of b's stored form.
 func MarshalSize(b *Buf) int { return 2 + len(b.tag) + len(b.data) }
 
+// DataLen reports the length of the data held by the stored form raw, or
+// 0 when raw is too short for its owner tag (Unmarshal rejects it). A
+// caller decoding a run of stored buffers sums it to size one arena for
+// all of their data.
+func DataLen(raw []byte) int {
+	if len(raw) < 2 {
+		return 0
+	}
+	if n := len(raw) - 2 - (int(raw[0])<<8 | int(raw[1])); n > 0 {
+		return n
+	}
+	return 0
+}
+
 // A Decoder unmarshals a run of stored buffers, parsing an owner tag only
 // when its bytes differ from the canonical tag of the owner it last
 // decoded: a run written by one owner parses its tag once, and every
@@ -129,21 +143,28 @@ func (d *Decoder) Seed(owner nal.Principal) {
 	d.owner, d.tag = owner, nal.KeyOfPrin(owner)
 }
 
-// Unmarshal reverses AppendMarshal.
-func (d *Decoder) Unmarshal(raw []byte) (*Buf, error) {
+// Unmarshal reverses AppendMarshal into b. The data is copied onto the end
+// of *arena, and b's data is that copy capped at its own length: b never
+// aliases raw, and a later append to *arena never writes into b. When
+// *arena has room for the data (DataLen) and the tag is the decoder's
+// owner's, the decode allocates nothing.
+func (d *Decoder) Unmarshal(b *Buf, raw []byte, arena *[]byte) error {
 	if len(raw) < 2 {
-		return nil, ErrBounds
+		return ErrBounds
 	}
 	n := int(raw[0])<<8 | int(raw[1])
 	if len(raw) < 2+n {
-		return nil, ErrBounds
+		return ErrBounds
 	}
 	if tag := raw[2 : 2+n]; d.owner == nil || string(tag) != d.tag {
 		owner, err := nal.ParsePrincipal(string(tag))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		d.Seed(owner)
 	}
-	return &Buf{owner: d.owner, tag: d.tag, data: append([]byte(nil), raw[2+n:]...)}, nil
+	start := len(*arena)
+	*arena = append(*arena, raw[2+n:]...)
+	*b = Buf{owner: d.owner, tag: d.tag, data: (*arena)[start:len(*arena):len(*arena)]}
+	return nil
 }

@@ -101,18 +101,38 @@ func TestRetag(t *testing.T) {
 	}
 }
 
+// TestMarshalRoundTrip decodes a stored buffer into an arena sized by
+// DataLen: the buffer keeps its owner and data after the stored form is
+// overwritten. A stored form too short for its tag is rejected.
 func TestMarshalRoundTrip(t *testing.T) {
-	b := New(nal.MustPrincipal("web.user.alice"), []byte{0, 1, 2, 255})
+	data := []byte{0, 1, 2, 255}
+	b := New(nal.MustPrincipal("web.user.alice"), data)
+	raw := AppendMarshal(nil, b)
+	if DataLen(raw) != len(data) {
+		t.Fatalf("DataLen = %d, want %d", DataLen(raw), len(data))
+	}
 	var d Decoder
-	back, err := d.Unmarshal(AppendMarshal(nil, b))
-	if err != nil {
+	var back Buf
+	arena := make([]byte, 0, DataLen(raw))
+	if err := d.Unmarshal(&back, raw, &arena); err != nil {
 		t.Fatal(err)
 	}
-	if !back.Owner().EqualPrin(b.Owner()) || back.Len() != b.Len() {
-		t.Errorf("round trip changed buffer: %v %d", back.Owner(), back.Len())
+	for i := range raw {
+		raw[i] = 0xee
 	}
-	if _, err := d.Unmarshal([]byte{0}); !errors.Is(err, ErrBounds) {
-		t.Errorf("short unmarshal: want ErrBounds, got %v", err)
+	if !back.Owner().EqualPrin(b.Owner()) {
+		t.Errorf("round trip changed owner: %v", back.Owner())
+	}
+	if plain, _ := Reveal(nil, &back, back.Owner()); !bytes.Equal(plain, data) {
+		t.Errorf("round trip data %v, want %v", plain, data)
+	}
+	for _, raw := range [][]byte{{0}, {0, 3, 'a'}} {
+		if err := d.Unmarshal(&back, raw, &arena); !errors.Is(err, ErrBounds) {
+			t.Errorf("unmarshal %q: want ErrBounds, got %v", raw, err)
+		}
+		if DataLen(raw) != 0 {
+			t.Errorf("DataLen(%q) = %d, want 0", raw, DataLen(raw))
+		}
 	}
 }
 
@@ -120,11 +140,12 @@ func TestQuickMarshal(t *testing.T) {
 	prop := func(data []byte) bool {
 		b := New(alice, data)
 		var d Decoder
-		back, err := d.Unmarshal(AppendMarshal(nil, b))
-		if err != nil {
+		var back Buf
+		var arena []byte
+		if err := d.Unmarshal(&back, AppendMarshal(nil, b), &arena); err != nil {
 			return false
 		}
-		plain, err := Reveal(nil, back, alice)
+		plain, err := Reveal(nil, &back, alice)
 		return err == nil && bytes.Equal(plain, data)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {

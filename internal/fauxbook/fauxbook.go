@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/fauxbook/cobuf"
@@ -74,8 +73,20 @@ type Service struct {
 type user struct {
 	name     string
 	passHash string
+	prin     nal.Principal   // prinFor(name), derived once at Signup
 	friends  map[string]bool // users whose data this user may see / who may see... see MayFlow
-	wall     []*cobuf.Buf
+	// wall is written only under Service.mu, and only two ways: Post
+	// appends past the current length, and a restore replaces the slice.
+	// Neither writes an element a reader already holds, so snapshot hands
+	// out the slice itself, not a copy.
+	wall []*cobuf.Buf
+}
+
+// snapshot returns u's wall for use after Service.mu is released; the
+// caller holds the lock. The slice is capped at its length, so appending
+// to the snapshot reallocates it instead of writing where Post appends.
+func (u *user) snapshot() []*cobuf.Buf {
+	return u.wall[:len(u.wall):len(u.wall)]
 }
 
 // New deploys Fauxbook on a kernel with a file service. The tenant program
@@ -237,7 +248,7 @@ func (s *Service) Signup(name, pass string) error {
 	if _, ok := s.users[name]; ok {
 		return ErrUserExists
 	}
-	s.users[name] = &user{name: name, passHash: hashPass(name, pass), friends: map[string]bool{}}
+	s.users[name] = &user{name: name, passHash: hashPass(name, pass), prin: s.prinFor(name), friends: map[string]bool{}}
 	return nil
 }
 
@@ -315,10 +326,10 @@ func (s *Service) Post(token string, status []byte) error {
 	if err != nil {
 		return err
 	}
-	buf := cobuf.New(s.prinFor(name), status)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.users[name].wall = append(s.users[name].wall, buf)
+	u := s.users[name]
+	u.wall = append(u.wall, cobuf.New(u.prin, status))
 	return nil
 }
 
@@ -337,11 +348,10 @@ func (s *Service) Wall(token, owner string) ([]byte, error) {
 		s.mu.Unlock()
 		return nil, ErrNoUser
 	}
-	wall := append([]*cobuf.Buf(nil), u.wall...)
+	wall := u.snapshot()
+	readerPrin := s.users[readerName].prin
 	s.mu.Unlock()
-
-	ownerPrin := s.prinFor(owner)
-	readerPrin := s.prinFor(readerName)
+	ownerPrin := u.prin
 
 	// The tenant program runs over the wall entries; its store holds the
 	// accumulating page, owned by the wall owner.
@@ -402,28 +412,30 @@ func (s *Service) PersistWall(name string) error {
 		s.mu.Unlock()
 		return ErrNoUser
 	}
-	wall := append([]*cobuf.Buf(nil), u.wall...)
+	wall := u.snapshot()
 	s.mu.Unlock()
 	return s.fs.WriteFile("/fauxbook/"+name+".wall", marshalWall(wall))
 }
 
 // LoadWall restores a persisted wall.
 func (s *Service) LoadWall(name string) error {
+	s.mu.Lock()
+	u := s.users[name]
+	s.mu.Unlock()
 	blob, err := s.fs.ReadFile("/fauxbook/" + name + ".wall")
 	if err != nil {
 		return err
 	}
-	wall, err := unmarshalWall(blob, s.prinFor(name))
+	if u == nil {
+		return ErrNoUser
+	}
+	wall, err := unmarshalWall(blob, u.prin)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	u, ok := s.users[name]
-	if !ok {
-		return ErrNoUser
-	}
 	u.wall = wall
+	s.mu.Unlock()
 	return nil
 }
 
@@ -476,5 +488,3 @@ emit(head)
 const CountKeyword = `
 let n = count(wall, "keyword")
 `
-
-var _ = strings.TrimSpace // imported for future handlers

@@ -39,10 +39,16 @@ type WallArchive struct {
 	port int
 
 	mu    sync.Mutex
-	blobs map[string][]byte
+	walls map[string]*archivedWall // user → stored wall
 	puts  uint64
 	gets  uint64
 }
+
+// archivedWall is one user's stored wall. A put to a user already stored
+// replaces blob under the archive's lock, so the user's name is converted
+// to a map key only once; the old blob is never written, because a get
+// may still be sending it.
+type archivedWall struct{ blob []byte }
 
 // DeployWallArchive starts the archive service on the storage kernel and
 // exports it under the given service name. The caller is responsible for
@@ -56,7 +62,7 @@ func DeployWallArchive(k *kernel.Kernel, n *kernel.Node, service string) (*WallA
 	if err != nil {
 		return nil, err
 	}
-	a := &WallArchive{sess: sess, blobs: map[string][]byte{}}
+	a := &WallArchive{sess: sess, walls: map[string]*archivedWall{}}
 	if a.led = k.Ledger(); a.led == nil {
 		if a.led, err = ledger.New(ledger.NewMemBackend(), ledger.Options{BatchSize: 64}); err != nil {
 			return nil, err
@@ -151,24 +157,34 @@ func (a *WallArchive) handle(from kernel.Caller, m *kernel.Msg) ([]byte, error) 
 	if m.Obj != archiveObj || len(m.Args) < 1 {
 		return nil, fmt.Errorf("fauxbook: archive: bad request")
 	}
-	user := string(m.Args[0])
+	user := m.Args[0]
 	switch m.Op {
 	case "put":
 		if len(m.Args) != 2 {
 			return nil, fmt.Errorf("fauxbook: archive: put needs a blob")
 		}
+		// A copy: the arguments alias the request frame, which goes back
+		// to the frame pool once the dispatch returns.
 		blob := append([]byte(nil), m.Args[1]...)
 		a.mu.Lock()
-		a.blobs[user] = blob
+		if w := a.walls[string(user)]; w != nil {
+			w.blob = blob
+		} else {
+			a.walls[string(user)] = &archivedWall{blob: blob}
+		}
 		a.puts++
 		a.mu.Unlock()
 		return []byte("ok"), nil
 	case "get":
+		var blob []byte
 		a.mu.Lock()
-		blob, ok := a.blobs[user]
+		w := a.walls[string(user)]
+		if w != nil {
+			blob = w.blob
+		}
 		a.gets++
 		a.mu.Unlock()
-		if !ok {
+		if w == nil {
 			return nil, fmt.Errorf("fauxbook: archive: no wall for %s", user)
 		}
 		return blob, nil
@@ -217,21 +233,32 @@ func (s *Service) AttachArchive(peer *kernel.Peer, service string) error {
 	return nil
 }
 
-// marshalWall flattens wall entries into the length-prefixed blob format
-// shared by filesystem persistence and the remote archive.
-func marshalWall(wall []*cobuf.Buf) []byte {
+// wallSize reports the length of wall's blob.
+func wallSize(wall []*cobuf.Buf) int {
 	size := 0
 	for _, b := range wall {
 		size += 2 + cobuf.MarshalSize(b)
 	}
-	blob := make([]byte, 0, size)
+	return size
+}
+
+// appendWall appends wall's entries to dst in the length-prefixed blob
+// format shared by filesystem persistence and the remote archive.
+func appendWall(dst []byte, wall []*cobuf.Buf) []byte {
 	for _, b := range wall {
 		m := cobuf.MarshalSize(b)
-		blob = append(blob, byte(m>>8), byte(m))
-		blob = cobuf.AppendMarshal(blob, b)
+		dst = append(dst, byte(m>>8), byte(m))
+		dst = cobuf.AppendMarshal(dst, b)
 	}
-	return blob
+	return dst
 }
+
+// marshalWall flattens wall entries into a blob of their exact size.
+func marshalWall(wall []*cobuf.Buf) []byte {
+	return appendWall(make([]byte, 0, wallSize(wall)), wall)
+}
+
+var errCorruptWall = errors.New("fauxbook: corrupt wall blob")
 
 // unmarshalWall parses the blob format back into wall entries. The blob
 // may come from a storage node the front kernel does not trust: malformed
@@ -239,25 +266,72 @@ func marshalWall(wall []*cobuf.Buf) []byte {
 // the wall's entries are expected to carry: an entry tagged with owner's
 // canonical form is not parsed, every other tag is parsed and validated,
 // and a run of entries with the same canonical tag shares one parse.
+//
+// The entry lengths are walked first, so a torn blob is rejected before
+// anything is allocated. Then the wall takes three allocations, whatever
+// its length: the entries, the pointers to them, and one arena holding
+// only the posts' bytes. The entries copy their posts and never alias
+// blob, which has no owner the wall could rely on: a remote reply's
+// buffer belongs to the transport, and a local file server may hand back
+// its own storage.
 func unmarshalWall(blob []byte, owner nal.Principal) ([]*cobuf.Buf, error) {
-	var wall []*cobuf.Buf
+	entries, size := 0, 0
+	for rest := blob; len(rest) >= 2; entries++ {
+		n := int(rest[0])<<8 | int(rest[1])
+		if len(rest) < 2+n {
+			return nil, errCorruptWall
+		}
+		size += cobuf.DataLen(rest[2 : 2+n])
+		rest = rest[2+n:]
+	}
+	if entries == 0 {
+		return nil, nil
+	}
+	bufs := make([]cobuf.Buf, entries)
+	wall := make([]*cobuf.Buf, entries)
+	arena := make([]byte, 0, size)
 	var dec cobuf.Decoder
 	if owner != nil {
 		dec.Seed(owner)
 	}
-	for len(blob) >= 2 {
+	for i := range bufs {
 		n := int(blob[0])<<8 | int(blob[1])
-		if len(blob) < 2+n {
-			return nil, fmt.Errorf("fauxbook: corrupt wall blob")
-		}
-		b, err := dec.Unmarshal(blob[2 : 2+n])
-		if err != nil {
+		if err := dec.Unmarshal(&bufs[i], blob[2:2+n], &arena); err != nil {
 			return nil, err
 		}
-		wall = append(wall, b)
+		wall[i] = &bufs[i]
 		blob = blob[2+n:]
 	}
 	return wall, nil
+}
+
+// archiveRequest is one archive call's message together with its argument
+// array: building a request allocates this struct and the argument bytes.
+type archiveRequest struct {
+	msg  kernel.Msg
+	args [2][]byte
+}
+
+// putRequest builds the put that archives wall under name. The name and
+// the blob share one buffer, each capped at its own length, so a monitor
+// that appends to one argument reallocates it instead of writing into
+// the other.
+func putRequest(name string, wall []*cobuf.Buf) *kernel.Msg {
+	n := len(name)
+	buf := append(make([]byte, 0, n+wallSize(wall)), name...)
+	buf = appendWall(buf, wall)
+	r := &archiveRequest{msg: kernel.Msg{Op: "put", Obj: archiveObj}}
+	r.args = [2][]byte{buf[:n:n], buf[n:len(buf):len(buf)]}
+	r.msg.Args = r.args[:]
+	return &r.msg
+}
+
+// getRequest builds the get that fetches name's archived wall.
+func getRequest(name string) *kernel.Msg {
+	r := &archiveRequest{msg: kernel.Msg{Op: "get", Obj: archiveObj}}
+	r.args[0] = []byte(name)
+	r.msg.Args = r.args[:1]
+	return &r.msg
 }
 
 // ArchiveWall ships a user's wall to the attached storage node. The blob
@@ -269,7 +343,7 @@ func (s *Service) ArchiveWall(name string) error {
 	u, ok := s.users[name]
 	var wall []*cobuf.Buf
 	if ok {
-		wall = append([]*cobuf.Buf(nil), u.wall...)
+		wall = u.snapshot()
 	}
 	s.mu.Unlock()
 	if ar == nil {
@@ -278,11 +352,7 @@ func (s *Service) ArchiveWall(name string) error {
 	if !ok {
 		return ErrNoUser
 	}
-	_, err := s.framework.CallRemote(ar.cap, &kernel.Msg{
-		Op:   "put",
-		Obj:  archiveObj,
-		Args: [][]byte{[]byte(name), marshalWall(wall)},
-	})
+	_, err := s.framework.CallRemote(ar.cap, putRequest(name, wall))
 	return err
 }
 
@@ -293,28 +363,24 @@ func (s *Service) ArchiveWall(name string) error {
 func (s *Service) RestoreWall(name string) error {
 	s.mu.Lock()
 	ar := s.archive
+	u := s.users[name]
 	s.mu.Unlock()
 	if ar == nil {
 		return ErrNoArchive
 	}
-	blob, err := s.framework.CallRemote(ar.cap, &kernel.Msg{
-		Op:   "get",
-		Obj:  archiveObj,
-		Args: [][]byte{[]byte(name)},
-	})
+	blob, err := s.framework.CallRemote(ar.cap, getRequest(name))
 	if err != nil {
 		return err
 	}
-	wall, err := unmarshalWall(blob, s.prinFor(name))
+	if u == nil {
+		return ErrNoUser
+	}
+	wall, err := unmarshalWall(blob, u.prin)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	u, ok := s.users[name]
-	if !ok {
-		return ErrNoUser
-	}
 	u.wall = wall
+	s.mu.Unlock()
 	return nil
 }

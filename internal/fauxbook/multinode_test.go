@@ -1,6 +1,7 @@
 package fauxbook
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -36,11 +37,13 @@ func bootStorageNode(t *testing.T, lt *kernel.LoopbackTransport, addr string) (*
 	return k, n, a
 }
 
-// TestMultiNodeArchive is the multi-node workload: the front-end node's
-// framework tier archives and restores walls on a storage node with
-// credential-backed authorization over the loopback transport.
-func TestMultiNodeArchive(t *testing.T) {
-	front, svc := deploy(t, DefaultTenant)
+// attachedArchive deploys fauxbook on a front node and attaches it, over
+// the loopback transport, to a wall archive on a storage node that
+// authorizes the front's framework. It returns the service, the storage
+// kernel and the archive.
+func attachedArchive(t *testing.T, tenant string) (*Service, *kernel.Kernel, *WallArchive) {
+	t.Helper()
+	front, svc := deploy(t, tenant)
 	lt := kernel.NewLoopbackTransport()
 	storeK, _, arch := bootStorageNode(t, lt, "store")
 	if err := arch.Authorize(front.NKFingerprint(), svc.FrameworkPrin()); err != nil {
@@ -56,6 +59,14 @@ func TestMultiNodeArchive(t *testing.T) {
 	if err := svc.AttachArchive(peer, "wallarchive"); err != nil {
 		t.Fatalf("attach: %v", err)
 	}
+	return svc, storeK, arch
+}
+
+// TestMultiNodeArchive is the multi-node workload: the front-end node's
+// framework tier archives and restores walls on a storage node with
+// credential-backed authorization over the loopback transport.
+func TestMultiNodeArchive(t *testing.T) {
+	svc, storeK, arch := attachedArchive(t, DefaultTenant)
 
 	// Normal fauxbook activity on the front node.
 	if err := svc.Signup("alice", "pw"); err != nil {
@@ -168,5 +179,57 @@ func TestMultiNodeArchiveDenied(t *testing.T) {
 	}
 	if puts, gets := arch.Stats(); puts != 0 || gets != 0 {
 		t.Fatalf("rogue access reached the handler: puts=%d gets=%d", puts, gets)
+	}
+}
+
+// TestAllocArchiveRoundTrip pins a warm archive round trip of an 8-post
+// wall over the loopback transport, both kernels included: one
+// ArchiveWall and one RestoreWall, 14 allocations. Each request takes
+// two (the message with its argument array, and the argument bytes), the
+// archive copies the put's blob out of the request frame and replies
+// "ok", and the restore decodes the wall in three (entries, pointers and
+// one arena for the posts). The rest is the kernels' (response frames,
+// the operation string as put and get alternate) and the ledger's. The
+// restored wall still renders every post.
+func TestAllocArchiveRoundTrip(t *testing.T) {
+	if raceEnabled {
+		t.Skip("cross-goroutine pool reuse is perturbed under the race detector")
+	}
+	svc, _, _ := attachedArchive(t, "import render\n")
+	if err := svc.Signup("alice", "pw"); err != nil {
+		t.Fatal(err)
+	}
+	tok, err := svc.Login("alice", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for i := 0; i < 8; i++ {
+		post := bytes.Repeat([]byte{byte('a' + i)}, 120)
+		if err := svc.Post(tok, post); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, post...)
+	}
+	roundTrip := func() {
+		if err := svc.ArchiveWall("alice"); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.RestoreWall("alice"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		roundTrip()
+	}
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs > 14 {
+		t.Errorf("warm archive round trip allocates %.1f objects, want ≤ 14", allocs)
+	}
+	page, err := svc.Wall(tok, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(page, append(want, '\n')) {
+		t.Fatalf("restored wall renders %q, want its 8 posts", page)
 	}
 }

@@ -67,10 +67,10 @@ func TestWallCodecFormat(t *testing.T) {
 }
 
 // TestAllocWallCodec pins the wall codec's allocations for an 8-post,
-// one-owner wall: marshalWall allocates only the blob, and unmarshalWall,
-// seeded with the wall's owner, parses no owner tag: it allocates each
-// post's buffer and data (16) and the growing entry slice (4). Unseeded,
-// the one tag parse costs 10 more.
+// one-owner wall: marshalWall allocates only the blob, and unmarshalWall
+// allocates the entries, the pointers to them and one arena for the posts
+// (3). Seeded with the wall's owner, it parses no owner tag; unseeded, the
+// one tag parse costs 10 more.
 func TestAllocWallCodec(t *testing.T) {
 	alice := nal.MustPrincipal("fauxbook.user.alice")
 	wall := testWall(8, alice)
@@ -78,12 +78,17 @@ func TestAllocWallCodec(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { marshalWall(wall) }); a > 1 {
 		t.Errorf("marshalWall allocates %.0f objects for 8 posts, want ≤ 1", a)
 	}
-	if a := testing.AllocsPerRun(100, func() {
-		if _, err := unmarshalWall(blob, alice); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		owner nal.Principal
+		want  float64
+	}{{alice, 3}, {nil, 13}} {
+		if a := testing.AllocsPerRun(100, func() {
+			if _, err := unmarshalWall(blob, c.owner); err != nil {
+				t.Fatal(err)
+			}
+		}); a > c.want {
+			t.Errorf("unmarshalWall seeded with %v allocates %.0f objects for 8 posts, want ≤ %.0f", c.owner, a, c.want)
 		}
-	}); a > 20 {
-		t.Errorf("seeded unmarshalWall allocates %.0f objects for 8 posts, want ≤ 20", a)
 	}
 }
 
@@ -94,7 +99,8 @@ func TestAllocWallCodec(t *testing.T) {
 // are all canonical re-marshals to the same bytes; and decoding with an
 // owner seed — one that matches the blob's tags or one that does not —
 // returns exactly the unseeded result, so a seed never labels a post its
-// tag does not name.
+// tag does not name. The entries own their posts: overwriting the blob
+// after a decode, seeded or not, changes no post.
 func FuzzWallBlob(f *testing.F) {
 	alice, bob := nal.MustPrincipal("fauxbook.user.alice"), nal.MustPrincipal("key:ab12")
 	f.Add([]byte{})
@@ -151,6 +157,24 @@ func FuzzWallBlob(f *testing.F) {
 		}
 		if out := marshalWall(wall); canonical && !bytes.Equal(out, blob) {
 			t.Fatalf("canonical blob re-marshaled differently:\n in  %x\n out %x", blob, out)
+		}
+		// The fuzz input may not be written, so the overwrite runs on a
+		// copy decoded afresh, unseeded and seeded with the seed that
+		// matches the first tag; data still holds the posts as stored.
+		for _, seed := range []nal.Principal{nil, seeds[len(seeds)-1]} {
+			own := append([]byte(nil), blob...)
+			decoded, err := unmarshalWall(own, seed)
+			if err != nil {
+				t.Fatalf("seed %v: decoding a copy: %v", seed, err)
+			}
+			for i := range own {
+				own[i] = ^own[i]
+			}
+			for i, b := range decoded {
+				if post, _ := cobuf.Reveal(nil, b, b.Owner()); !bytes.Equal(post, data[i]) {
+					t.Fatalf("seed %v: entry %d reads %q after its blob was overwritten, stored %q", seed, i, post, data[i])
+				}
+			}
 		}
 	})
 }

@@ -48,10 +48,10 @@ type Generic struct {
 	shards   [guardShards]proofShard
 	size     atomic.Int64 // total entries across shards
 	maxCache atomic.Int64 // 0 or negative disables insertion
-	quota    atomic.Int64 // per-principal-root entry bound
+	quota    atomic.Int64 // per-process entry bound
 
 	quotaMu sync.Mutex
-	quotas  map[string]int // canonical root principal → live entries
+	quotas  map[string]int // canonical subject principal → live entries
 
 	stats cachestat.Counters
 
@@ -72,15 +72,18 @@ type proofShard struct {
 // cachedProof records a structurally validated proof so later checks only
 // re-run its authority consultations.
 type cachedProof struct {
-	owner       string // canonical root principal, for per-principal eviction
+	owner       string // canonical subject principal, for per-process eviction
 	authorities []proof.Consultation
 }
 
 // DefaultCacheSize bounds the proof cache.
 const DefaultCacheSize = 1024
 
-// DefaultQuota bounds entries per principal tree root, limiting exhaustion
-// attacks from incessantly spawned principals (§2.9).
+// DefaultQuota bounds the entries one process may hold: the quota keys on
+// the request's subject, a process principal (<kernel>.ipd.<pid>, local
+// or a peer's process behind its proxy), so a process that overflows it
+// evicts its own entries, never its neighbours' (performance isolation,
+// §2.9). DefaultCacheSize bounds all processes together.
 const DefaultQuota = 256
 
 // New creates a guard bound to a kernel (for labelstore fetches and
@@ -104,7 +107,7 @@ func New(k *kernel.Kernel) *Generic {
 // entries are inserted; existing entries remain until evicted).
 func (g *Generic) SetCacheSize(n int) { g.maxCache.Store(int64(n)) }
 
-// SetQuota adjusts the per-principal-root entry bound.
+// SetQuota adjusts the per-process entry bound.
 func (g *Generic) SetQuota(n int) { g.quota.Store(int64(n)) }
 
 // Len reports the number of cached proofs.
@@ -294,8 +297,8 @@ func (g *Generic) authority(channel string, f nal.Formula) bool {
 }
 
 // insert adds a validated proof to the cache, evicting preferentially from
-// the same principal's entries (performance isolation, §2.9) and enforcing
-// the per-tree-root quota. Under concurrent insertion the size and quota
+// the same process's entries (performance isolation, §2.9) and enforcing
+// the per-process quota. Under concurrent insertion the size and quota
 // bounds may transiently overshoot by the number of racing inserters; they
 // are exact when single-threaded.
 func (g *Generic) insert(rawKey []byte, subject nal.Principal, auths []proof.Consultation) {
@@ -313,17 +316,23 @@ func (g *Generic) insert(rawKey []byte, subject nal.Principal, auths []proof.Con
 		return
 	}
 	key := string(rawKey)
-	root := nal.KeyOfPrin(nal.RootOf(subject))
+	// The quota's owner is the subject's canonical form, rendered into a
+	// stack buffer and made a string only for the entry stored below. It
+	// is not interned: per-process principals die with their processes
+	// (CreateProcess).
+	var ownerBuf [128]byte
+	owner := nal.AppendPrin(ownerBuf[:0], subject)
 
 	g.quotaMu.Lock()
-	overQuota := int64(g.quotas[root]) >= g.quota.Load()
+	overQuota := int64(g.quotas[string(owner)]) >= g.quota.Load()
 	g.quotaMu.Unlock()
 	if overQuota {
-		g.evictOne(si, root, true)
+		g.evictOne(si, owner, true)
 	}
 	if g.size.Load() >= max {
-		g.evictOne(si, root, false)
+		g.evictOne(si, owner, false)
 	}
+	ownerKey := string(owner)
 
 	// Size and quota accounting happens while the shard lock is held, so
 	// an entry's existence and its counts change atomically: a concurrent
@@ -335,26 +344,26 @@ func (g *Generic) insert(rawKey []byte, subject nal.Principal, auths []proof.Con
 		sh.mu.Unlock()
 		return
 	}
-	sh.entries[key] = &cachedProof{owner: root, authorities: auths}
+	sh.entries[key] = &cachedProof{owner: ownerKey, authorities: auths}
 	sh.order = append(sh.order, key)
 	g.size.Add(1)
 	g.quotaMu.Lock()
-	g.quotas[root]++
+	g.quotas[ownerKey]++
 	g.quotaMu.Unlock()
 	sh.mu.Unlock()
 }
 
 // evictOne removes one cached proof and returns whether a victim was found.
-// It prefers entries owned by root (performance isolation: a principal over
+// It prefers entries owned by owner (performance isolation: a process over
 // quota pays with its own entries); when ownedOnly is false it falls back
 // to an entry of any owner. Shards are scanned starting at the inserting
 // stripe, holding one shard lock at a time, and the victim is the oldest
 // matching entry within the first shard that has one — per-shard FIFO, not
 // a global age order.
-func (g *Generic) evictOne(start int, root string, ownedOnly bool) bool {
+func (g *Generic) evictOne(start int, owner []byte, ownedOnly bool) bool {
 	for i := 0; i < guardShards; i++ {
 		if g.shards[(start+i)%guardShards].removeFirst(g, func(e *cachedProof) bool {
-			return e.owner == root
+			return e.owner == string(owner)
 		}) {
 			return true
 		}

@@ -333,8 +333,9 @@ func stressRequest(k *kernel.Kernel, subj nal.Principal, obj string) *kernel.Gua
 }
 
 // TestQuotaEvictionTargetsOwningRoot verifies that a principal exceeding
-// its per-tree-root quota evicts its own entries, not another root's
-// (performance isolation, §2.9).
+// its quota evicts its own entries, not another principal's (performance
+// isolation, §2.9). The two principals here have different roots;
+// TestQuotaPerProcess covers two processes of one kernel.
 func TestQuotaEvictionTargetsOwningRoot(t *testing.T) {
 	w := newWorld(t)
 	w.g.SetQuota(2)
@@ -367,6 +368,42 @@ func TestQuotaEvictionTargetsOwningRoot(t *testing.T) {
 	}
 	if w.g.StatsSnapshot().Hits != before+1 {
 		t.Error("bob's cached proof was evicted by alice's quota overflow")
+	}
+}
+
+// TestQuotaPerProcess verifies that the quota is per process, not per
+// kernel: two processes of one kernel share a principal root (the
+// kernel's), yet one overflowing its quota of 2 evicts only its own
+// entries, and the other's entry survives.
+func TestQuotaPerProcess(t *testing.T) {
+	w := newWorld(t)
+	w.g.SetQuota(2)
+	if !nal.RootOf(w.srv.Prin).EqualPrin(nal.RootOf(w.cli.Prin)) {
+		t.Fatal("the two processes do not share a principal root")
+	}
+
+	// The server caches one proof; the client then overflows its quota.
+	if d := w.g.Check(stressRequest(w.k, w.srv.Prin, "srvobj")); !d.Allow {
+		t.Fatalf("server denied: %s", d.Reason)
+	}
+	for i := 0; i < 4; i++ {
+		obj := "cliobj" + string(rune('a'+i))
+		if d := w.g.Check(stressRequest(w.k, w.cli.Prin, obj)); !d.Allow {
+			t.Fatalf("client denied: %s", d.Reason)
+		}
+	}
+	if _, _, evictions := w.g.Stats(); evictions != 2 {
+		t.Errorf("evictions = %d, want 2 (the client's 3rd and 4th inserts evict its own)", evictions)
+	}
+	if got := w.g.Len(); got != 3 {
+		t.Errorf("cache len = %d, want 3 (the server's entry plus the client's quota of 2)", got)
+	}
+	before := w.g.StatsSnapshot().Hits
+	if d := w.g.Check(stressRequest(w.k, w.srv.Prin, "srvobj")); !d.Allow {
+		t.Fatalf("server re-check denied: %s", d.Reason)
+	}
+	if w.g.StatsSnapshot().Hits != before+1 {
+		t.Error("the server's cached proof was evicted by the client's quota overflow")
 	}
 }
 

@@ -282,7 +282,7 @@ func (k *Kernel) authorizeMiss(from *Process, subj, op, obj string) error {
 		req.Proof = rp.Proof
 		req.Creds = rp.Creds
 		req.CredIDs = rp.CredIDs
-		k.metrics.add(uint64(from.PID), mProofChecks, 1)
+		k.metrics.add(uint64(from.PID), mProofUpcalls, 1)
 	}
 	k.guardUpcalls.Add(1)
 	t0 := time.Now()

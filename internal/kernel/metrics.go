@@ -31,8 +31,8 @@ import (
 type metricID int
 
 const (
-	mProofChecks metricID = iota // guard upcalls carrying a registered proof
-	mWireDecodes                 // formula/cert wire decodes on ingress
+	mProofUpcalls metricID = iota // guard upcalls carrying a registered proof
+	mWireDecodes                  // formula/cert wire decodes on ingress
 	mWireDecodeErrs
 	mNetSends // transport frames sent (requests + responses)
 	mNetSendBytes
@@ -152,7 +152,7 @@ type MetricsSnapshot struct {
 	DCacheEvictions uint64
 	// Decision path.
 	GuardUpcalls uint64
-	ProofChecks  uint64
+	ProofUpcalls uint64 // upcalls carrying a proof, whether or not the guard's proof cache answers
 	// Audit log and ledger.
 	AuditRecords       uint64
 	AuditRetained      uint64
@@ -215,7 +215,7 @@ func (k *Kernel) Metrics() MetricsSnapshot {
 		DCacheMisses:             cs.Misses,
 		DCacheEvictions:          cs.Evictions,
 		GuardUpcalls:             k.guardUpcalls.Load(),
-		ProofChecks:              m.total(mProofChecks),
+		ProofUpcalls:             m.total(mProofUpcalls),
 		AuditRecords:             k.audit.Total(),
 		AuditRetained:            uint64(k.audit.Len()),
 		LedgerForwardXErrs:       m.total(mLedgerFwdErrs),
@@ -258,7 +258,7 @@ func (s *MetricsSnapshot) render() string {
 	row("dcache_misses", s.DCacheMisses)
 	row("dcache_evictions", s.DCacheEvictions)
 	row("guard_upcalls", s.GuardUpcalls)
-	row("proof_checks", s.ProofChecks)
+	row("proof_upcalls", s.ProofUpcalls)
 	row("audit_records", s.AuditRecords)
 	row("audit_retained", s.AuditRetained)
 	row("ledger_records", s.LedgerRecords)

@@ -28,6 +28,10 @@ import (
 // to dst and returns the extended slice.
 func AppendFormula(dst []byte, f Formula) []byte { return appendFormula(dst, f, nil, false) }
 
+// AppendPrin appends the canonical form of p (identical to p.String()) to
+// dst and returns the extended slice.
+func AppendPrin(dst []byte, p Principal) []byte { return appendPrin(dst, p, nil) }
+
 // Binding gives the guard variables ?S, ?O and ?Op the values a guard
 // substitutes for one access (§2.5): the subject, the object and the
 // operation.
