@@ -12,16 +12,17 @@
 //     every run, and the pairs the working tree won on it.
 //
 // The metrics, their order and which direction is better come from the
-// benchmark declaration (BENCHMARK.json). Quartiles follow Python's
+// benchmark declaration, BENCHMARK.json in the current directory. A run
+// that printed no result (its run.sh exited early) is listed as such and
+// left out of the medians and the pairs won. Quartiles follow Python's
 // statistics.quantiles(xs, n=4), the rule perfbench judges spread by.
 //
-//	go run ./cmd/perfcompare -bench BENCHMARK.json DIR
+//	go run ./cmd/perfcompare DIR
 package main
 
 import (
 	"bufio"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -34,13 +35,11 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "BENCHMARK.json", "the benchmark declaration")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: perfcompare [-bench BENCHMARK.json] DIR")
+	if len(os.Args) != 2 {
+		fmt.Fprintln(os.Stderr, "usage: perfcompare DIR")
 		os.Exit(2)
 	}
-	if err := run(*bench, flag.Arg(0), os.Stdout); err != nil {
+	if err := run("BENCHMARK.json", os.Args[1], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "perfcompare:", err)
 		os.Exit(1)
 	}

@@ -48,10 +48,10 @@ type Generic struct {
 	shards   [guardShards]proofShard
 	size     atomic.Int64 // total entries across shards
 	maxCache atomic.Int64 // 0 or negative disables insertion
-	quota    atomic.Int64 // per-process entry bound
+	quota    atomic.Int64 // per-owner entry bound (DefaultQuota)
 
 	quotaMu sync.Mutex
-	quotas  map[string]int // canonical subject principal → live entries
+	quotas  map[string]int // canonical quota owner → live entries
 
 	stats cachestat.Counters
 
@@ -72,18 +72,22 @@ type proofShard struct {
 // cachedProof records a structurally validated proof so later checks only
 // re-run its authority consultations.
 type cachedProof struct {
-	owner       string // canonical subject principal, for per-process eviction
+	owner       string // canonical quota owner (appendOwner), for per-owner eviction
 	authorities []proof.Consultation
 }
 
 // DefaultCacheSize bounds the proof cache.
 const DefaultCacheSize = 1024
 
-// DefaultQuota bounds the entries one process may hold: the quota keys on
-// the request's subject, a process principal (<kernel>.ipd.<pid>, local
-// or a peer's process behind its proxy), so a process that overflows it
-// evicts its own entries, never its neighbours' (performance isolation,
-// §2.9). DefaultCacheSize bounds all processes together.
+// DefaultQuota bounds the entries one quota owner may hold. A process of
+// this kernel (<kernel>.ipd.<pid>) is its own owner, so a process that
+// overflows its quota evicts its own entries, never its neighbours'
+// (performance isolation, §2.9). Any other subject is charged to the root
+// of its principal tree: all of one peer's proxies share the peer's NK
+// key, because a peer names its processes freely on the wire and could
+// otherwise mint owners without bound (exhaustion attacks from
+// incessantly spawned principals, §2.9). DefaultCacheSize bounds all
+// owners together.
 const DefaultQuota = 256
 
 // New creates a guard bound to a kernel (for labelstore fetches and
@@ -107,7 +111,7 @@ func New(k *kernel.Kernel) *Generic {
 // entries are inserted; existing entries remain until evicted).
 func (g *Generic) SetCacheSize(n int) { g.maxCache.Store(int64(n)) }
 
-// SetQuota adjusts the per-process entry bound.
+// SetQuota adjusts the per-owner entry bound (DefaultQuota).
 func (g *Generic) SetQuota(n int) { g.quota.Store(int64(n)) }
 
 // Len reports the number of cached proofs.
@@ -297,8 +301,8 @@ func (g *Generic) authority(channel string, f nal.Formula) bool {
 }
 
 // insert adds a validated proof to the cache, evicting preferentially from
-// the same process's entries (performance isolation, §2.9) and enforcing
-// the per-process quota. Under concurrent insertion the size and quota
+// the same owner's entries (performance isolation, §2.9) and enforcing
+// the per-owner quota. Under concurrent insertion the size and quota
 // bounds may transiently overshoot by the number of racing inserters; they
 // are exact when single-threaded.
 func (g *Generic) insert(rawKey []byte, subject nal.Principal, auths []proof.Consultation) {
@@ -316,12 +320,11 @@ func (g *Generic) insert(rawKey []byte, subject nal.Principal, auths []proof.Con
 		return
 	}
 	key := string(rawKey)
-	// The quota's owner is the subject's canonical form, rendered into a
-	// stack buffer and made a string only for the entry stored below. It
-	// is not interned: per-process principals die with their processes
-	// (CreateProcess).
+	// The quota's owner is rendered into a stack buffer and made a string
+	// only for the entry stored below. It is not interned: per-process
+	// principals die with their processes (CreateProcess).
 	var ownerBuf [128]byte
-	owner := nal.AppendPrin(ownerBuf[:0], subject)
+	owner := g.appendOwner(ownerBuf[:0], subject)
 
 	g.quotaMu.Lock()
 	overQuota := int64(g.quotas[string(owner)]) >= g.quota.Load()
@@ -353,8 +356,18 @@ func (g *Generic) insert(rawKey []byte, subject nal.Principal, auths []proof.Con
 	sh.mu.Unlock()
 }
 
+// appendOwner appends the canonical form of the principal that subject's
+// cache entries are charged to (DefaultQuota): subject itself when it is
+// a process of this kernel, the root of its principal tree otherwise.
+func (g *Generic) appendOwner(dst []byte, subject nal.Principal) []byte {
+	if nal.IsAncestor(g.k.Prin, subject) {
+		return nal.AppendPrin(dst, subject)
+	}
+	return nal.AppendPrin(dst, nal.RootOf(subject))
+}
+
 // evictOne removes one cached proof and returns whether a victim was found.
-// It prefers entries owned by owner (performance isolation: a process over
+// It prefers entries owned by owner (performance isolation: an owner over
 // quota pays with its own entries); when ownedOnly is false it falls back
 // to an entry of any owner. Shards are scanned starting at the inserting
 // stripe, holding one shard lock at a time, and the victim is the oldest

@@ -2,6 +2,7 @@ package guard
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -334,8 +335,9 @@ func stressRequest(k *kernel.Kernel, subj nal.Principal, obj string) *kernel.Gua
 
 // TestQuotaEvictionTargetsOwningRoot verifies that a principal exceeding
 // its quota evicts its own entries, not another principal's (performance
-// isolation, §2.9). The two principals here have different roots;
-// TestQuotaPerProcess covers two processes of one kernel.
+// isolation, §2.9). Neither principal is a process of the guard's kernel,
+// so each is charged to its root; TestQuotaPerProcess covers two
+// processes of one kernel, TestQuotaPeerSharesRoot one peer's many.
 func TestQuotaEvictionTargetsOwningRoot(t *testing.T) {
 	w := newWorld(t)
 	w.g.SetQuota(2)
@@ -404,6 +406,41 @@ func TestQuotaPerProcess(t *testing.T) {
 	}
 	if w.g.StatsSnapshot().Hits != before+1 {
 		t.Error("the server's cached proof was evicted by the client's quota overflow")
+	}
+}
+
+// TestQuotaPeerSharesRoot verifies that every subprincipal of a foreign
+// root shares the root's quota. A peer names its proxied processes freely
+// on the wire (key:<peer NK>.<boot>.ipd.<pid>); were each pid its own
+// owner, one peer spreading inserts over many pids would fill the cache
+// and then evict a local process's entries through the global bound.
+func TestQuotaPeerSharesRoot(t *testing.T) {
+	w := newWorld(t)
+	w.g.SetQuota(2)
+	w.g.SetCacheSize(4)
+	peer := nal.SubOf(nal.Key("peer-nk"), "peer-boot")
+
+	if d := w.g.Check(stressRequest(w.k, w.srv.Prin, "srvobj")); !d.Allow {
+		t.Fatalf("server denied: %s", d.Reason)
+	}
+	for pid := 1; pid <= 32; pid++ {
+		subj := nal.SubChain(peer, "ipd", strconv.Itoa(pid))
+		if d := w.g.Check(stressRequest(w.k, subj, "peerobj")); !d.Allow {
+			t.Fatalf("peer process %d denied: %s", pid, d.Reason)
+		}
+	}
+	if _, _, evictions := w.g.Stats(); evictions != 30 {
+		t.Errorf("evictions = %d, want 30 (the peer's 3rd to 32nd inserts evict its own)", evictions)
+	}
+	if got := w.g.Len(); got != 3 {
+		t.Errorf("cache len = %d, want 3 (the server's entry plus the peer's quota of 2)", got)
+	}
+	before := w.g.StatsSnapshot().Hits
+	if d := w.g.Check(stressRequest(w.k, w.srv.Prin, "srvobj")); !d.Allow {
+		t.Fatalf("server re-check denied: %s", d.Reason)
+	}
+	if w.g.StatsSnapshot().Hits != before+1 {
+		t.Error("the server's cached proof was evicted by one peer's many processes")
 	}
 }
 
