@@ -61,6 +61,57 @@ func TestAllocSyscallWarmAuthz(t *testing.T) {
 	}
 }
 
+// TestAllocSyscallWarmLabelRef pins a warm local call whose proof cites
+// a labelstore reference at zero allocations and zero guard upcalls: the
+// kernel caches the decision stamped with its credential generation, and
+// a hit on it compares that generation with two atomic loads.
+func TestAllocSyscallWarmLabelRef(t *testing.T) {
+	k := allocKernel(t, kernel.Options{NoInterposition: true})
+	k.SetGuard(guard.New(k))
+	srv, err := k.NewSession([]byte("srv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := srv.Listen(func(kernel.Caller, *kernel.Msg) ([]byte, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	port, _ := srv.PortOf(pc)
+	if err := srv.SetGoal("read", "obj", nal.MustParse("?S says mayRead(?O)"), nil); err != nil {
+		t.Fatal(err)
+	}
+	cli, err := k.NewSession([]byte("cli"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := cli.Open(port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := cli.Say(`mayRead("obj")`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli.SetProof("read", "obj", proof.Assume(0, l.Formula),
+		[]kernel.Credential{{Ref: &kernel.LabelRef{PID: cli.PID(), Handle: l.Handle}}})
+	m := &kernel.Msg{Op: "read", Obj: "obj"}
+	if _, err := cli.Call(ch, m); err != nil { // the one guard upcall
+		t.Fatal(err)
+	}
+	upcalls := k.GuardUpcalls()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := cli.Call(ch, m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := k.GuardUpcalls() - upcalls; got != 0 {
+		t.Errorf("%d guard upcalls over the pinned run, want 0", got)
+	}
+	if allocs != 0 {
+		t.Errorf("warm call on a label reference allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 // TestAllocSyscallWarmAuthzObserved pins the same warm authorized path
 // with the full observability plane engaged — metrics always on, a durable
 // ledger attached behind the audit log — at zero allocations. The plane's
@@ -328,19 +379,11 @@ func TestAllocRemoteCallWarmTCP(t *testing.T) {
 	}
 }
 
-// TestAllocRemoteCallAuthzWarm pins the warm cross-node call whose
-// serving kernel authorizes every request through the generic guard — the
-// BENCH_net call/remote-authz path. The client's statement crosses to the
-// serving kernel as a label and the proof cites it by reference, so the
-// serving kernel may not cache the decision and each call pays a guard
-// upcall, a proof-cache hit, and an audit record; both endpoints are
-// included. The guard's hit (TestAllocGuardProofCacheHit) and the audit
-// and ledger hashing allocate nothing, and the kernel's upcall request
-// comes from a pool; what remains is the response frame.
-func TestAllocRemoteCallAuthzWarm(t *testing.T) {
-	if raceEnabled {
-		t.Skip("cross-goroutine pool reuse is perturbed under the race detector")
-	}
+// authzAllocWorld is a warm allocWorld whose serving kernel authorizes
+// "bench guarded" through the generic guard — the BENCH_net
+// call/remote-authz path. The client's statement crosses to the serving
+// kernel as a label, and the proof cites it there by reference.
+func authzAllocWorld(t *testing.T) (*allocWorld, *kernel.Msg) {
 	w := dialAllocWorld(t, kernel.NewLoopbackTransport(), "alloc-authz",
 		func(k *kernel.Kernel) kernel.Guard { return guard.New(k) })
 	goal := nal.Says{P: nal.Key(w.kCli.NKFingerprint()), F: nal.Says{P: w.cli.Prin(), F: nal.Pred{Name: "mayBench"}}}
@@ -361,18 +404,55 @@ func TestAllocRemoteCallAuthzWarm(t *testing.T) {
 	}
 	m := &kernel.Msg{Op: "bench", Obj: "guarded"}
 	w.warm(t, m)
+	return w, m
+}
+
+// pinRemoteAuthz runs the pinned remote call of authzAllocWorld and checks
+// its allocations, both endpoints included, and the serving kernel's guard
+// upcalls per call.
+func pinRemoteAuthz(t *testing.T, w *allocWorld, m *kernel.Msg, upcallsPerCall uint64) {
+	t.Helper()
+	const runs = 200
 	upcalls := w.srv.Kernel().GuardUpcalls()
-	allocs := testing.AllocsPerRun(200, func() {
+	allocs := testing.AllocsPerRun(runs, func() {
 		if _, err := w.cli.CallRemote(w.rc, m); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if got := w.srv.Kernel().GuardUpcalls() - upcalls; got < 200 {
-		t.Fatalf("%d guard upcalls over the pinned run, want one per call", got)
+	// AllocsPerRun makes one warm-up call beyond runs.
+	if got, want := w.srv.Kernel().GuardUpcalls()-upcalls, upcallsPerCall*(runs+1); got != want {
+		t.Fatalf("%d guard upcalls over the pinned run, want %d", got, want)
 	}
 	if allocs > 1 {
 		t.Errorf("warm authorized remote call allocates %.1f objects/op, want ≤ 1", allocs)
 	}
+}
+
+// TestAllocRemoteCallAuthzWarm pins the warm authorized cross-node call:
+// the serving kernel caches the decision on the label reference, stamped
+// with its credential generation, so the call makes no guard upcall and
+// no audit record, and what remains is the response frame.
+func TestAllocRemoteCallAuthzWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("cross-goroutine pool reuse is perturbed under the race detector")
+	}
+	w, m := authzAllocWorld(t)
+	pinRemoteAuthz(t, w, m, 0)
+}
+
+// TestAllocRemoteCallAuthzMiss pins the same call with the serving
+// kernel's decision cache off — the BENCH_net call/remote-authz-miss
+// path — so each call pays a guard upcall, a proof-cache hit and an audit
+// record. The guard's hit (TestAllocGuardProofCacheHit) and the audit
+// hashing allocate nothing, and the kernel's upcall request comes from a
+// pool; what remains is again the response frame.
+func TestAllocRemoteCallAuthzMiss(t *testing.T) {
+	if raceEnabled {
+		t.Skip("cross-goroutine pool reuse is perturbed under the race detector")
+	}
+	w, m := authzAllocWorld(t)
+	w.srv.Kernel().DCache().Disable()
+	pinRemoteAuthz(t, w, m, 1)
 }
 
 // TestAllocSubmitRemoteBatchWarm pins the batched remote submission path

@@ -219,9 +219,12 @@ func BenchmarkNet(b *testing.B) {
 	stopTCP()
 
 	// Credential-backed authorization on the serving kernel: a goal
-	// demanding the client's attested statement, the proof bound remotely,
-	// and decisions uncacheable (reference credential), so every call
-	// crosses the guard.
+	// demanding the client's attested statement and the proof bound
+	// remotely, citing the transferred label by reference.
+	// call/remote-authz measures the warm call, whose decision the serving
+	// kernel caches under its credential generation; call/remote-authz-miss
+	// turns kStore's decision cache off for its row only, so every call
+	// still crosses the guard, the audit log and the proof cache.
 	goal := nal.Says{P: nal.Key(kFront.NKFingerprint()), F: nal.Says{P: cli.Prin(), F: nal.Pred{Name: "mayBench"}}}
 	if err := srv.SetGoal("bench", "guarded", goal, nil); err != nil {
 		b.Fatal(err)
@@ -243,6 +246,9 @@ func BenchmarkNet(b *testing.B) {
 		b.Fatal(err)
 	}
 	callRemote(b, "call/remote-authz", cli, rc, gm)
+	kStore.DCache().Disable()
+	callRemote(b, "call/remote-authz-miss", cli, rc, gm)
+	kStore.DCache().Enable()
 
 	// Label transfer: externalize (Ed25519 sign) + ship + verified ingress.
 	// Labels distinct across all runs defeat the verify cache, the hash-cons

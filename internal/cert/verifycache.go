@@ -8,9 +8,10 @@
 // Revocation: labels are indefinitely valid in the logic (§2.7), but an
 // operator can revoke a certificate (or every certificate by a signer) at
 // the cache: the entry is dropped, the fingerprint blacklisted, and every
-// subsequent Label call fails with ErrRevoked. Guards treat certificate
-// credentials as dynamic state (decisions are not kernel-cacheable), so a
-// revocation takes effect on the very next authorization check.
+// subsequent Label call fails with ErrRevoked. Each revocation then
+// advances the cache's generation, which the kernel folds into the
+// generation its cached certificate-backed decisions are stamped with, so
+// a revocation takes effect on the very next authorization check.
 package cert
 
 import (
@@ -18,6 +19,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cachestat"
 	"repro/internal/nal"
@@ -47,6 +49,8 @@ type VerifyCache struct {
 	revMu          sync.RWMutex
 	revokedCerts   map[string]struct{}
 	revokedSigners map[string]struct{}
+	// gen counts revocations, bumped after the blacklist holds them.
+	gen atomic.Uint64
 
 	stats cachestat.Counters
 }
@@ -154,12 +158,18 @@ func (vc *VerifyCache) revoked(certFP, signerFP string) bool {
 	return ok
 }
 
+// Generation counts the Revoke and RevokeSigner calls that have
+// blacklisted their certificate or signer. It only grows: a decision made
+// on certificates that read generation g still holds while it reads g.
+func (vc *VerifyCache) Generation() uint64 { return vc.gen.Load() }
+
 // Revoke blacklists one certificate by fingerprint and drops its cached
 // verification. Idempotent.
 func (vc *VerifyCache) Revoke(certFP string) {
 	vc.revMu.Lock()
 	vc.revokedCerts[certFP] = struct{}{}
 	vc.revMu.Unlock()
+	vc.gen.Add(1)
 	sh := vc.shard(certFP)
 	sh.mu.Lock()
 	if _, ok := sh.m[certFP]; ok {
@@ -181,6 +191,7 @@ func (vc *VerifyCache) RevokeSigner(signerFP string) {
 	vc.revMu.Lock()
 	vc.revokedSigners[signerFP] = struct{}{}
 	vc.revMu.Unlock()
+	vc.gen.Add(1)
 	for i := range vc.shards {
 		sh := &vc.shards[i]
 		sh.mu.Lock()

@@ -10,12 +10,13 @@ import (
 )
 
 // TestAllocGuardProofCacheHit pins the guard's proof-cache hit on a
-// labelstore-reference credential at zero allocations. The kernel never
-// caches such decisions, so every access re-enters the guard: the key is
-// rendered into a stack buffer with the goal's variables bound in place,
-// the credential resolves into stack arrays through the label's
-// creation-time formula ID, and nothing is instantiated unless the lookup
-// misses.
+// labelstore-reference credential at zero allocations. The kernel caches
+// such a decision under its credential generation, so the guard sees the
+// request again after a label removal or a revocation, or with the
+// decision cache off: the key is rendered into a stack buffer with the
+// goal's variables bound in place, the credential resolves into stack
+// arrays through the label's creation-time formula ID, and nothing is
+// instantiated unless the lookup misses.
 func TestAllocGuardProofCacheHit(t *testing.T) {
 	w := newWorld(t)
 	goal := nal.MustParse("?S says wantsAccess(?O, ?Op)")
@@ -32,8 +33,8 @@ func TestAllocGuardProofCacheHit(t *testing.T) {
 		Proof:   proof.Assume(0, l.Formula),
 		Creds:   []kernel.Credential{{Ref: &kernel.LabelRef{PID: w.cli.PID, Handle: l.Handle}}},
 	}
-	if d := w.g.Check(req); !d.Allow || d.Cacheable {
-		t.Fatalf("first check: allow=%v cacheable=%v (%s), want an uncacheable allow", d.Allow, d.Cacheable, d.Reason)
+	if d := w.g.Check(req); !d.Allow || !d.Cacheable {
+		t.Fatalf("first check: allow=%v cacheable=%v (%s), want a cacheable allow", d.Allow, d.Cacheable, d.Reason)
 	}
 	hits := w.g.StatsSnapshot().Hits
 	allocs := testing.AllocsPerRun(200, func() {

@@ -44,7 +44,10 @@ func certWorld(t *testing.T) (*world, *cert.Certificate, nal.Formula) {
 }
 
 // TestCertCredentialPreVerified: the first check verifies the RSA
-// signature; every later check resolves the certificate with a cache hit.
+// signature. The decision is kernel-cached, so later calls neither upcall
+// nor probe the verify cache; with the decision cache off, every later
+// check reaches the guard and resolves the certificate with a verify-cache
+// hit, never a second verification.
 func TestCertCredentialPreVerified(t *testing.T) {
 	w, _, _ := certWorld(t)
 	if err := w.call("read", "obj"); err != nil {
@@ -54,10 +57,28 @@ func TestCertCredentialPreVerified(t *testing.T) {
 	if s0.Misses != 1 {
 		t.Fatalf("first check: %+v, want exactly one verification", s0)
 	}
+	upcalls := w.k.GuardUpcalls()
+	for i := 0; i < 3; i++ {
+		if err := w.call("read", "obj"); err != nil {
+			t.Fatalf("cached call %d: %v", i, err)
+		}
+	}
+	if got := w.k.GuardUpcalls() - upcalls; got != 0 {
+		t.Errorf("cached certificate decision made %d upcalls, want 0", got)
+	}
+	if s := w.k.CertCache().Stats(); s.Lookups != s0.Lookups {
+		t.Errorf("cached calls probed the verify cache: %+v, was %+v", s, s0)
+	}
+
+	w.k.DCache().Disable()
+	upcalls = w.k.GuardUpcalls()
 	for i := 0; i < 3; i++ {
 		if err := w.call("read", "obj"); err != nil {
 			t.Fatalf("warm call %d: %v", i, err)
 		}
+	}
+	if got := w.k.GuardUpcalls() - upcalls; got != 3 {
+		t.Errorf("%d upcalls with the decision cache off, want 3", got)
 	}
 	s1 := w.k.CertCache().Stats()
 	if s1.Misses != 1 {
@@ -71,7 +92,8 @@ func TestCertCredentialPreVerified(t *testing.T) {
 // TestCertRevocationForcesRecheck is the invalidation-correctness
 // regression: a revoked credential denies the very next authorization, even
 // though the guard's proof cache and the subproof memo are warm, because
-// certificate-backed decisions never enter the kernel decision cache.
+// a revocation advances the credential generation that the kernel's
+// cached certificate-backed decision is stamped with.
 func TestCertRevocationForcesRecheck(t *testing.T) {
 	w, c, _ := certWorld(t)
 	if err := w.call("read", "obj"); err != nil {

@@ -2,14 +2,18 @@
 // reference monitor that evaluates client-supplied proofs against goal
 // formulas on decision-cache misses.
 //
-// The guard checks — it never constructs — proofs. Credentials arrive either
-// inline (copied into the request, indefinitely valid, cacheable) or as
-// labelstore references (re-fetched from the mutable store on every check,
-// so decisions depending on them are not cacheable). Authority steps are
-// re-validated on every evaluation, even when the structural part of the
-// proof hits the guard's internal proof cache; this is the "lemma" caching
-// of §2.9 that keeps dynamic-state checks sound while amortizing
-// proof-checking cost.
+// The guard checks — it never constructs — proofs. Credentials arrive
+// inline (copied into the request), as labelstore references (fetched from
+// the store on each check) or as certificates (resolved through the
+// kernel's pre-verification cache). Labels are immutable and indefinitely
+// valid (§2.7), so a decision on any of them is cacheable: the kernel
+// stamps one that presents references or certificates with its credential
+// generation, which label removal and revocation advance. A credential
+// that fails to resolve, and any decision that consulted an authority,
+// stay uncacheable. Authority steps are re-validated on every evaluation,
+// even when the structural part of the proof hits the guard's internal
+// proof cache; this is the "lemma" caching of §2.9 that keeps
+// dynamic-state checks sound while amortizing proof-checking cost.
 //
 // The proof cache is lock-striped: entries are spread across shards by the
 // hash of their canonical key, so concurrent checks from different subjects
@@ -147,7 +151,7 @@ func shardIndex(key []byte) int {
 // Check implements kernel.Guard.
 //
 // A proof-cache hit allocates nothing (pinned by TestAllocGuardProofCacheHit
-// and, through the kernel, TestAllocRemoteCallAuthzWarm): the key is
+// and, through the kernel, TestAllocRemoteCallAuthzMiss): the key is
 // rendered into a stack buffer with the goal's variables bound in place,
 // and credentials resolve into stack arrays. A miss allocates only what it
 // caches (checkMiss).
@@ -160,7 +164,7 @@ func (g *Generic) Check(req *kernel.GuardRequest) kernel.GuardDecision {
 
 	var credBuf [8]nal.Formula // a request presenting more spills to the heap
 	var idBuf [8]nal.FormulaID
-	creds, credIDs, hasDynamic, err := g.resolveCreds(req, credBuf[:0], idBuf[:0])
+	creds, credIDs, err := g.resolveCreds(req, credBuf[:0], idBuf[:0])
 	if err != nil {
 		return kernel.GuardDecision{Allow: false, Cacheable: false, Reason: err.Error()}
 	}
@@ -175,7 +179,7 @@ func (g *Generic) Check(req *kernel.GuardRequest) kernel.GuardDecision {
 	g.stats.Lookup(hit)
 
 	if !hit {
-		return g.checkMiss(req, &b, key, creds, credIDs, hasDynamic)
+		return g.checkMiss(req, &b, key, creds, credIDs)
 	}
 	// Structure already validated; only dynamic state needs re-checking.
 	for _, a := range entry.authorities {
@@ -184,7 +188,7 @@ func (g *Generic) Check(req *kernel.GuardRequest) kernel.GuardDecision {
 				Reason: fmt.Sprintf("authority %s no longer affirms %s", a.Channel, a.F)}
 		}
 	}
-	return kernel.GuardDecision{Allow: true, Cacheable: len(entry.authorities) == 0 && !hasDynamic}
+	return kernel.GuardDecision{Allow: true, Cacheable: len(entry.authorities) == 0}
 }
 
 // checkMiss is Check on a proof-cache miss: it checks the proof against
@@ -193,7 +197,7 @@ func (g *Generic) Check(req *kernel.GuardRequest) kernel.GuardDecision {
 // proof is compared with the goal in place, so the miss allocates only
 // what insert stores, and a wrong-goal denial only its reason and error
 // (TestAllocGuardProofCacheMiss).
-func (g *Generic) checkMiss(req *kernel.GuardRequest, b *nal.Binding, key []byte, creds []nal.Formula, credIDs []nal.FormulaID, hasDynamic bool) kernel.GuardDecision {
+func (g *Generic) checkMiss(req *kernel.GuardRequest, b *nal.Binding, key []byte, creds []nal.Formula, credIDs []nal.FormulaID) kernel.GuardDecision {
 	// The Env and its one trust root stay on this frame: the checker
 	// retains neither.
 	trust := [1]nal.Principal{g.k.Prin}
@@ -206,13 +210,14 @@ func (g *Generic) checkMiss(req *kernel.GuardRequest, b *nal.Binding, key []byte
 	res, err := proof.CheckBound(req.Proof, req.Goal, b, &env)
 	if err != nil {
 		// A failed check is cacheable only if it cannot become valid
-		// without a proof update (which invalidates the cache entry anyway)
-		// — i.e. when it did not depend on dynamic state.
-		return kernel.GuardDecision{Allow: false, Cacheable: res.AuthorityCalls == 0 && !hasDynamic,
+		// without a proof or goal update (which invalidates the cache entry
+		// anyway) — i.e. when it consulted no authority. Its credentials
+		// resolved, and a resolved credential never changes.
+		return kernel.GuardDecision{Allow: false, Cacheable: res.AuthorityCalls == 0,
 			Reason: err.Error()}
 	}
 	g.insert(key, req.Subject, res.Consulted) //nexus:coldpath — allocates only the entry it stores
-	return kernel.GuardDecision{Allow: true, Cacheable: res.Cacheable && !hasDynamic}
+	return kernel.GuardDecision{Allow: true, Cacheable: res.Cacheable}
 }
 
 // resolveCreds appends the credential list to creds, and the matching
@@ -221,12 +226,11 @@ func (g *Generic) checkMiss(req *kernel.GuardRequest, b *nal.Binding, key []byte
 // carry the ID their label recorded when it was created, and certificates
 // are verified through the kernel's pre-verification cache — one
 // fingerprint lookup on the warm path instead of a signature check. Duplicate
-// certificates within one request resolve once. hasDynamic reports whether
-// any credential came from mutable or revocable state (references,
-// certificates); such decisions stay out of the kernel decision cache so a
-// label change or a revocation takes effect on the next check.
-func (g *Generic) resolveCreds(req *kernel.GuardRequest, creds []nal.Formula, ids []nal.FormulaID) ([]nal.Formula, []nal.FormulaID, bool, error) {
-	hasDynamic := false
+// certificates within one request resolve once. A credential that fails
+// to resolve fails the check uncacheably: the label may yet be created, and
+// the kernel's credential generation cannot stand for a label that it
+// never saw leave.
+func (g *Generic) resolveCreds(req *kernel.GuardRequest, creds []nal.Formula, ids []nal.FormulaID) ([]nal.Formula, []nal.FormulaID, error) {
 	for i, c := range req.Creds {
 		switch {
 		case c.Inline != nil:
@@ -240,19 +244,17 @@ func (g *Generic) resolveCreds(req *kernel.GuardRequest, creds []nal.Formula, id
 			creds = append(creds, c.Inline)
 			ids = append(ids, id)
 		case c.Ref != nil:
-			hasDynamic = true
 			p, ok := g.k.Lookup(c.Ref.PID)
 			if !ok {
-				return nil, nil, true, fmt.Errorf("credential %d: process %d gone", i, c.Ref.PID)
+				return nil, nil, fmt.Errorf("credential %d: process %d gone", i, c.Ref.PID)
 			}
 			l, err := p.Labels.Get(c.Ref.Handle)
 			if err != nil {
-				return nil, nil, true, fmt.Errorf("credential %d: %v", i, err)
+				return nil, nil, fmt.Errorf("credential %d: %v", i, err)
 			}
 			creds = append(creds, l.Formula)
 			ids = append(ids, l.ID())
 		case c.Cert != nil:
-			hasDynamic = true
 			if j := prevCertIndex(req.Creds[:i], c.Cert); j >= 0 {
 				// The same certificate appeared earlier in this request:
 				// reuse its verified label instead of re-probing the cache.
@@ -265,15 +267,15 @@ func (g *Generic) resolveCreds(req *kernel.GuardRequest, creds []nal.Formula, id
 			// labelstore references and inline credentials.
 			f, id, err := g.k.CertCache().Label(c.Cert) //nexus:coldpath
 			if err != nil {
-				return nil, nil, true, fmt.Errorf("credential %d: %v", i, err)
+				return nil, nil, fmt.Errorf("credential %d: %v", i, err)
 			}
 			creds = append(creds, f)
 			ids = append(ids, id)
 		default:
-			return nil, nil, hasDynamic, fmt.Errorf("credential %d: empty", i)
+			return nil, nil, fmt.Errorf("credential %d: empty", i)
 		}
 	}
-	return creds, ids, hasDynamic, nil
+	return creds, ids, nil
 }
 
 // prevCertIndex reports the position of an earlier credential presenting

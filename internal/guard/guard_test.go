@@ -121,14 +121,20 @@ func TestLabelstoreRefCredential(t *testing.T) {
 	if err := w.call("read", "obj"); err != nil {
 		t.Fatalf("ref credential: %v", err)
 	}
-	// Store-referenced credentials are not kernel-cacheable: upcalls repeat.
+	// The decision is kernel-cached under the credential generation: the
+	// next call makes no upcall.
 	before := w.k.GuardUpcalls()
-	w.call("read", "obj")
-	if w.k.GuardUpcalls() == before {
-		t.Error("ref credential decision must not be kernel-cached")
+	if err := w.call("read", "obj"); err != nil {
+		t.Fatalf("cached ref credential: %v", err)
 	}
-	// Deleting the label revokes access on the next check.
-	w.cli.Labels.Delete(l.Handle)
+	if got := w.k.GuardUpcalls() - before; got != 0 {
+		t.Errorf("cached ref credential decision made %d upcalls, want 0", got)
+	}
+	// Deleting the label revokes access on the next check, cached
+	// decision notwithstanding.
+	if err := w.cli.Labels.Delete(l.Handle); err != nil {
+		t.Fatal(err)
+	}
 	if err := w.call("read", "obj"); !errors.Is(err, kernel.ErrDenied) {
 		t.Errorf("deleted label: want ErrDenied, got %v", err)
 	}

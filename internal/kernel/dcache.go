@@ -11,7 +11,11 @@ import (
 // access-control tuple (subject, operation, object), §2.8. The hash function
 // maps all entries with the same (operation, object) into the same
 // subregion, so a setgoal invalidation clears one subregion instead of the
-// whole cache; a proof update clears a single entry.
+// whole cache; a proof update clears a single entry. A decision on a proof
+// that presents labelstore references or certificates is stamped with the
+// kernel's credential generation, which every label removal and every
+// revocation advances, so no per-entry dependency list is kept and a hit
+// on such an entry compares one number.
 //
 // Each subregion carries its own lock, so lookups and inserts for different
 // resources proceed in parallel and a setgoal invalidation stalls only the
@@ -27,8 +31,18 @@ type DecisionCache struct {
 // that were computed against since-invalidated goal or proof state.
 type dcRegion struct {
 	mu    sync.RWMutex
-	m     map[dcKey]bool // tuple → allow
+	m     map[dcKey]dcEntry
 	epoch uint64
+}
+
+// dcEntry is one cached decision. A dynamic entry was decided on a proof
+// that presents labelstore references or certificates, credentials a
+// label removal or a revocation can take away: it holds only while the
+// kernel's credential generation (Kernel.credGen) still reads gen.
+type dcEntry struct {
+	allow   bool
+	dynamic bool
+	gen     uint64
 }
 
 // dcKey is the access-control tuple as a composite map key: hashing a
@@ -44,7 +58,7 @@ func NewDecisionCache(regions int) *DecisionCache {
 	}
 	c := &DecisionCache{regions: make([]*dcRegion, regions)}
 	for i := range c.regions {
-		c.regions[i] = &dcRegion{m: map[dcKey]bool{}}
+		c.regions[i] = &dcRegion{m: map[dcKey]dcEntry{}}
 	}
 	c.enabled.Store(true)
 	return c
@@ -77,18 +91,33 @@ func (c *DecisionCache) region(op, obj string) *dcRegion {
 	return c.regions[regionHash(op, obj)%uint32(len(c.regions))]
 }
 
-// Lookup returns the cached decision for the tuple, if present.
+// Lookup returns the cached decision for the tuple, if present. It never
+// returns a dynamic entry: only the kernel that stored one can tell
+// whether its credential generation is still current.
 func (c *DecisionCache) Lookup(subj, op, obj string) (allow, ok bool) {
+	return c.lookup(subj, op, obj, nil)
+}
+
+// lookup is Lookup for k's authorize: a dynamic entry hits only while k's
+// credential generation still reads the one it was stored with, which
+// costs two atomic loads and nothing on an inline-credential entry. A
+// stale dynamic entry counts as a miss, and the decision made on that
+// miss replaces it.
+func (c *DecisionCache) lookup(subj, op, obj string, k *Kernel) (allow, ok bool) {
 	if !c.enabled.Load() {
 		c.stats.Lookup(false)
 		return false, false
 	}
 	r := c.region(op, obj)
 	r.mu.RLock()
-	allow, ok = r.m[dcKey{subj, op, obj}]
+	e, ok := r.m[dcKey{subj, op, obj}]
 	r.mu.RUnlock()
-	c.stats.Lookup(ok)
-	return allow, ok
+	if !ok || e.dynamic && (k == nil || e.gen != k.credGen()) {
+		c.stats.Lookup(false)
+		return false, false
+	}
+	c.stats.Lookup(true)
+	return e.allow, true
 }
 
 // Insert records a cacheable decision unconditionally. It is meant for
@@ -101,7 +130,7 @@ func (c *DecisionCache) Insert(subj, op, obj string, allow bool) {
 	}
 	r := c.region(op, obj)
 	r.mu.Lock()
-	r.m[dcKey{subj, op, obj}] = allow
+	r.m[dcKey{subj, op, obj}] = dcEntry{allow: allow}
 	r.mu.Unlock()
 }
 
@@ -119,13 +148,19 @@ func (c *DecisionCache) Epoch(op, obj string) uint64 {
 // InsertIf records a cacheable decision only if the subregion has not been
 // invalidated since the caller observed epoch.
 func (c *DecisionCache) InsertIf(subj, op, obj string, allow bool, epoch uint64) {
+	c.insertIf(subj, op, obj, dcEntry{allow: allow}, epoch)
+}
+
+// insertIf is InsertIf for an entry the kernel may have stamped with a
+// credential generation.
+func (c *DecisionCache) insertIf(subj, op, obj string, e dcEntry, epoch uint64) {
 	if !c.enabled.Load() {
 		return
 	}
 	r := c.region(op, obj)
 	r.mu.Lock()
 	if r.epoch == epoch {
-		r.m[dcKey{subj, op, obj}] = allow
+		r.m[dcKey{subj, op, obj}] = e
 	}
 	r.mu.Unlock()
 }
@@ -151,7 +186,7 @@ func (c *DecisionCache) InvalidateRegion(op, obj string) {
 	r := c.region(op, obj)
 	r.mu.Lock()
 	n := len(r.m)
-	r.m = map[dcKey]bool{}
+	r.m = map[dcKey]dcEntry{}
 	r.epoch++
 	r.mu.Unlock()
 	c.stats.Evicted(uint64(n))
@@ -162,7 +197,7 @@ func (c *DecisionCache) InvalidateRegion(op, obj string) {
 func (c *DecisionCache) Flush() {
 	for _, r := range c.regions {
 		r.mu.Lock()
-		r.m = map[dcKey]bool{}
+		r.m = map[dcKey]dcEntry{}
 		r.epoch++
 		r.mu.Unlock()
 	}

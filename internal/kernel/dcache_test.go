@@ -133,3 +133,60 @@ func TestDCacheFlushResetsEverything(t *testing.T) {
 		t.Errorf("stats not reset by Flush: %+v", s)
 	}
 }
+
+// TestDCacheDynamicEntryFollowsGeneration verifies a dynamic entry: it
+// hits while the kernel's credential generation reads what it was stored
+// with, a label removal or a revocation turns its next lookup into a
+// counted miss, the decision made on that miss replaces it, and the
+// exported Lookup, which knows no generation, never returns it.
+func TestDCacheDynamicEntryFollowsGeneration(t *testing.T) {
+	k := bootKernel(t)
+	p, err := k.CreateProcess(0, []byte("holder"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := p.Labels.Say("ok")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewDecisionCache(4)
+	insert := func() {
+		c.insertIf("alice", "read", "obj", dcEntry{allow: true, dynamic: true, gen: k.credGen()}, c.Epoch("read", "obj"))
+	}
+	insert()
+	if allow, ok := c.lookup("alice", "read", "obj", k); !ok || !allow {
+		t.Fatal("dynamic entry missed at its own generation")
+	}
+	if _, ok := c.Lookup("alice", "read", "obj"); ok {
+		t.Error("Lookup returned a dynamic entry it cannot validate")
+	}
+	for _, change := range []struct {
+		name string
+		do   func()
+	}{
+		{"label delete", func() { p.Labels.Delete(l.Handle) }},
+		{"revocation", func() { k.CertCache().Revoke("no-such-fingerprint") }},
+		{"exit", p.Exit},
+	} {
+		before := c.StatsSnapshot()
+		change.do()
+		if _, ok := c.lookup("alice", "read", "obj", k); ok {
+			t.Errorf("%s: dynamic entry still hits", change.name)
+		}
+		if s := c.StatsSnapshot(); s.Misses != before.Misses+1 {
+			t.Errorf("%s: stale entry counted %d misses, want 1", change.name, s.Misses-before.Misses)
+		}
+		insert()
+		if _, ok := c.lookup("alice", "read", "obj", k); !ok {
+			t.Errorf("%s: re-made decision not cached", change.name)
+		}
+	}
+	// Adding a label leaves the generation alone.
+	gen := k.credGen()
+	if _, err := p.Labels.Say("more"); err != nil {
+		t.Fatal(err)
+	}
+	if k.credGen() != gen {
+		t.Error("adding a label moved the credential generation")
+	}
+}

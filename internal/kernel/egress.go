@@ -82,6 +82,22 @@ func getFrameBuf(n int) []byte {
 	return make([]byte, n)
 }
 
+// growFrameBuf returns b with room for n more bytes. A buffer too small
+// is replaced by a pooled one holding the same bytes and goes back to the
+// pool itself, instead of being outgrown by append and dropped: a reply
+// larger than the frame it lands in then allocates only while the pool
+// holds no buffer that fits. b must be the caller's own, as an open egress
+// frame is.
+func growFrameBuf(b []byte, n int) []byte {
+	if cap(b)-len(b) >= n {
+		return b
+	}
+	nb := getFrameBuf(len(b) + n)[:len(b)]
+	copy(nb, b)
+	putFrameBuf(b)
+	return nb
+}
+
 // putFrameBuf recycles a buffer; out-of-bounds capacities and pool
 // overflow are dropped for the GC.
 func putFrameBuf(b []byte) {

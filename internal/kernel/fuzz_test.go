@@ -77,10 +77,13 @@ func FuzzMsgWire(f *testing.F) {
 			}
 		}
 		// Reuse: the submission ingress decodes every entry into one
-		// scratch Msg, so decoding over a Msg that already holds another
-		// message must give what the fresh decode gave.
+		// scratch Msg, its operation through the connection's op table, so
+		// decoding over a Msg that already holds another message, against a
+		// table that holds other operations, must give what the fresh
+		// decode gave.
 		sm := Msg{Op: "stale-op", Obj: "stale-obj", Args: [][]byte{[]byte("stale"), {}, []byte("args")}}
-		if !unmarshalMsgInto(&sm, wire) {
+		ops := opTable{ops: [4]string{"stale-op", "read", "write", ""}, next: 1}
+		if !unmarshalMsgInto(&sm, wire, &ops) {
 			t.Fatalf("decode into a used Msg rejected accepted wire %x", wire)
 		}
 		if sm.Op != m.Op || sm.Obj != m.Obj || len(sm.Args) != len(m.Args) {

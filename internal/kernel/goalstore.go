@@ -33,11 +33,13 @@ func newGoalStore() *goalStore {
 }
 
 // Credential is one label presented with a proof. Inline credentials are
-// copied into the request and may be cached with the decision; labelstore
-// references are re-fetched from the (mutable) store on every check, so
-// decisions depending on them are not cacheable. Certificate credentials
-// are verified through the kernel's pre-verification cache and, because
-// they are revocable there, also keep decisions out of the kernel cache.
+// copied into the request. Labelstore references are fetched from the
+// store on each guard check, and certificate credentials are verified
+// through the kernel's pre-verification cache. A label is immutable and
+// its (pid, handle) is never reused, so a reference either resolves to the
+// same formula or fails; a certificate holds until it is revoked. Decisions
+// on either are cached stamped with the kernel's credential generation,
+// which every label removal and every revocation advances (Kernel.credGen).
 type Credential struct {
 	Inline nal.Formula
 	Ref    *LabelRef
@@ -62,6 +64,16 @@ type RegisteredProof struct {
 	// inline credential (0 for references, certificates, or at cons
 	// saturation); guards fill the gaps per check.
 	CredIDs []nal.FormulaID
+}
+
+// registration is a RegisteredProof as the proof store holds it, with
+// what SetProof found in its credentials.
+type registration struct {
+	RegisteredProof
+	// dynamic reports that a credential is a labelstore reference or a
+	// certificate: a decision on this proof is cached stamped with the
+	// credential generation.
+	dynamic bool
 }
 
 // Guard decides authorization requests on decision-cache misses (§2.6).
@@ -160,23 +172,28 @@ func (k *Kernel) Goal(op, obj string) (*GoalEntry, bool) {
 
 // SetProof registers the caller's proof for an access tuple; the kernel
 // invalidates only the caller's cached decision for that tuple. The proof
-// is compiled and its inline credentials interned here, once, so the
-// authorization miss path never re-parses or re-serializes proof state.
+// is compiled, its inline credentials interned and its dynamic ones noted
+// here, once, so the authorization miss path never re-parses or
+// re-serializes proof state. A remote peer's setproof registers through
+// here too.
 func (k *Kernel) SetProof(caller *Process, op, obj string, p *proof.Proof, creds []Credential) {
 	subj := caller.PrinString()
-	rp := &RegisteredProof{Proof: p, Creds: creds}
+	reg := &registration{RegisteredProof: RegisteredProof{Proof: p, Creds: creds}}
 	if p != nil {
 		p.Compiled() // warm; a compile-rejected proof falls back at check time
 	}
 	if len(creds) > 0 {
-		rp.CredIDs = make([]nal.FormulaID, len(creds))
+		reg.CredIDs = make([]nal.FormulaID, len(creds))
 		for i, c := range creds {
 			if c.Inline != nil {
-				rp.CredIDs[i], _ = nal.IDOf(c.Inline)
+				reg.CredIDs[i], _ = nal.IDOf(c.Inline)
+			}
+			if c.Ref != nil || c.Cert != nil {
+				reg.dynamic = true
 			}
 		}
 	}
-	k.proofs.set(tupleKey{subj, op, obj}, rp)
+	k.proofs.set(tupleKey{subj, op, obj}, reg)
 	k.dcache.InvalidateEntry(subj, op, obj)
 }
 
@@ -185,11 +202,6 @@ func (k *Kernel) ClearProof(caller *Process, op, obj string) {
 	subj := caller.PrinString()
 	k.proofs.delete(tupleKey{subj, op, obj})
 	k.dcache.InvalidateEntry(subj, op, obj)
-}
-
-// registeredProof fetches the subject's proof for a tuple.
-func (k *Kernel) registeredProof(subj, op, obj string) *RegisteredProof {
-	return k.proofs.get(tupleKey{subj, op, obj})
 }
 
 // GuardUpcalls reports how many times the kernel crossed into a guard; the
@@ -204,7 +216,7 @@ func (k *Kernel) authorize(from *Process, op, obj string) error {
 	subj := from.PrinString()
 
 	// Fast path: cached decision.
-	if allow, ok := k.dcache.Lookup(subj, op, obj); ok {
+	if allow, ok := k.dcache.lookup(subj, op, obj, k); ok {
 		if allow {
 			return nil
 		}
@@ -223,7 +235,8 @@ var guardReqs = sync.Pool{New: func() any { return new(GuardRequest) }}
 // decision cache store; a denial allocates its reason and the returned
 // error. It stays //nexus:alloc-ok because those costs, and a designated
 // guard's own, are the price of a policy decision, paid once per
-// (subject, op, obj) epoch when the decision is cacheable.
+// (subject, op, obj) epoch when the decision is cacheable, and on a proof
+// presenting references or certificates once per credential generation.
 //
 //nexus:alloc-ok
 func (k *Kernel) authorizeMiss(from *Process, subj, op, obj string) error {
@@ -233,6 +246,11 @@ func (k *Kernel) authorizeMiss(from *Process, subj, op, obj string) error {
 	// it only after the fast-path miss keeps the cached path at a single
 	// region-lock acquisition.)
 	epoch := k.dcache.Epoch(op, obj)
+	// The credential generation is read next, before any label or
+	// certificate state: a label removal or a revocation that returns
+	// while the decision is in flight leaves the entry stamped with an
+	// older generation, which no later lookup accepts.
+	gen := k.credGen()
 
 	entry, hasGoal := k.Goal(op, obj)
 	if !hasGoal {
@@ -278,10 +296,12 @@ func (k *Kernel) authorizeMiss(from *Process, subj, op, obj string) error {
 		Obj:     obj,
 		Goal:    entry.Goal,
 	}
-	if rp := k.registeredProof(subj, op, obj); rp != nil {
-		req.Proof = rp.Proof
-		req.Creds = rp.Creds
-		req.CredIDs = rp.CredIDs
+	dynamic := false
+	if reg := k.proofs.get(tupleKey{subj, op, obj}); reg != nil {
+		req.Proof = reg.Proof
+		req.Creds = reg.Creds
+		req.CredIDs = reg.CredIDs
+		dynamic = reg.dynamic
 		k.metrics.add(uint64(from.PID), mProofUpcalls, 1)
 	}
 	k.guardUpcalls.Add(1)
@@ -292,7 +312,7 @@ func (k *Kernel) authorizeMiss(from *Process, subj, op, obj string) error {
 	guardReqs.Put(req)
 	k.audit.record(subj, op, obj, dec.Allow, dec.Reason)
 	if dec.Cacheable {
-		k.dcache.InsertIf(subj, op, obj, dec.Allow, epoch)
+		k.dcache.insertIf(subj, op, obj, dcEntry{allow: dec.Allow, dynamic: dynamic, gen: gen}, epoch)
 	}
 	if !dec.Allow {
 		return abiErr(EACCES, op, dec.Reason)

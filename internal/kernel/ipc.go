@@ -169,7 +169,7 @@ func MarshalMsgForBench(m *Msg) []byte { return marshalMsg(m) }
 //nexus:errno
 func unmarshalMsg(buf []byte) (*Msg, error) {
 	m := &Msg{}
-	if !unmarshalMsgInto(m, buf) {
+	if !unmarshalMsgInto(m, buf, nil) {
 		return nil, abiErr(EINVAL, "decode-msg", "malformed message")
 	}
 	return m, nil

@@ -262,6 +262,16 @@ func (k *Kernel) defaultGuard() Guard {
 // guards resolving certificate credentials and for revocation.
 func (k *Kernel) CertCache() *cert.VerifyCache { return k.certs }
 
+// credGen returns the kernel's credential generation: the labels that
+// have left a labelstore (procTable.labelGen) plus the revocations in the
+// verify cache (cert.VerifyCache.Generation). Both only grow, so the sum
+// moves whenever either does. A decision cached on labelstore references
+// or certificates holds only while the generation it was decided under is
+// current. Adding a label never moves it: pids and label handles are never
+// reused and labels are immutable, so a reference either resolves to the
+// formula it named or fails.
+func (k *Kernel) credGen() uint64 { return k.procs.labelGen.Load() + k.certs.Generation() }
+
 // NKFingerprint returns the fingerprint of this kernel's Nexus key,
 // computed once at boot. It is the key component of the kernel principal.
 func (k *Kernel) NKFingerprint() string { return k.nkFP }
@@ -347,13 +357,17 @@ func (k *Kernel) createRemoteProxy(prin nal.Principal) *Process {
 // processes held to those ports are revoked, its own channel capabilities
 // are dropped, authorities bound to its ports are retracted, and its
 // capability handle table is drained — no handle outlives its process,
-// whichever exit path ran.
+// whichever exit path ran. Its labels leave with it: no reference to
+// them resolves once it is gone from the table, so the credential
+// generation moves. It moves even for a process holding no labels, since
+// a Transfer into its store can race the exit.
 func (p *Process) Exit() {
 	if !p.exited.CompareAndSwap(false, true) {
 		return
 	}
 	k := p.kernel
 	k.procs.remove(p.PID)
+	k.procs.labelGen.Add(1)
 	dead := k.ports.dropOwner(p.PID)
 	for _, id := range dead {
 		k.chans.dropPort(id)

@@ -110,7 +110,9 @@ func (ls *Labelstore) Get(handle int) (*Label, error) {
 	return l, nil
 }
 
-// Delete removes a label.
+// Delete removes a label. Once it returns, no decision cached on a
+// reference to the label is served again: the credential generation has
+// moved (Kernel.credGen).
 func (ls *Labelstore) Delete(handle int) error {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
@@ -118,11 +120,13 @@ func (ls *Labelstore) Delete(handle int) error {
 		return ErrNoSuchLabel
 	}
 	delete(ls.labels, handle)
+	ls.owner.kernel.procs.labelGen.Add(1)
 	return nil
 }
 
 // Transfer moves a label into another labelstore, returning the new
 // handle. The formula (including its original speaker) is unchanged.
+// The source handle stops resolving as Delete's does.
 // Session-level code transfers by pid via Session.TransferLabel.
 func (ls *Labelstore) Transfer(handle int, dst *Labelstore) (*Label, error) {
 	ls.mu.Lock()
@@ -134,6 +138,7 @@ func (ls *Labelstore) Transfer(handle int, dst *Labelstore) (*Label, error) {
 	if !ok {
 		return nil, ErrNoSuchLabel
 	}
+	ls.owner.kernel.procs.labelGen.Add(1)
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
 	nl := &Label{Handle: dst.next, Speaker: l.Speaker, Formula: l.Formula, id: l.id}

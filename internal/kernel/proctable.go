@@ -19,6 +19,11 @@ import (
 type procTable struct {
 	shards  [procShards]procShard
 	nextPID atomic.Int64
+	// labelGen counts labels leaving the labelstores of this table's
+	// processes: a Delete, the source side of a Transfer, an Exit. It is
+	// the labelstore half of Kernel.credGen, bumped after the label has
+	// gone.
+	labelGen atomic.Uint64
 }
 
 const procShards = 16 // power of two so the shard index is a mask

@@ -3,7 +3,7 @@ package kernel
 import "sync"
 
 // proofStore is the registered-proof registry: a lock-striped
-// tupleKey → *RegisteredProof map. authorize reads it on every decision-cache
+// tupleKey → *registration map. authorize reads it on every decision-cache
 // miss; setproof/clearproof write it. Striping by tuple hash keeps proof
 // registration for one tuple from stalling lookups for any other.
 type proofStore struct {
@@ -14,13 +14,13 @@ const proofShards = 16
 
 type proofShard struct {
 	mu sync.RWMutex
-	m  map[tupleKey]*RegisteredProof
+	m  map[tupleKey]*registration
 }
 
 func newProofStore() *proofStore {
 	ps := &proofStore{}
 	for i := range ps.shards {
-		ps.shards[i].m = map[tupleKey]*RegisteredProof{}
+		ps.shards[i].m = map[tupleKey]*registration{}
 	}
 	return ps
 }
@@ -48,18 +48,18 @@ func fnvHashString(h uint32, s string) uint32 {
 	return h
 }
 
-func (ps *proofStore) get(k tupleKey) *RegisteredProof {
+func (ps *proofStore) get(k tupleKey) *registration {
 	s := ps.shard(k)
 	s.mu.RLock()
-	rp := s.m[k]
+	reg := s.m[k]
 	s.mu.RUnlock()
-	return rp
+	return reg
 }
 
-func (ps *proofStore) set(k tupleKey, rp *RegisteredProof) {
+func (ps *proofStore) set(k tupleKey, reg *registration) {
 	s := ps.shard(k)
 	s.mu.Lock()
-	s.m[k] = rp
+	s.m[k] = reg
 	s.mu.Unlock()
 }
 

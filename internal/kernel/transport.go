@@ -1249,10 +1249,12 @@ type serverConn struct {
 	eg    *egress
 	reTag *reTagger
 
-	// subMsg is the reused decode target for submission entries; its
-	// Op/Obj strings persist across warm requests so a repeated target
-	// decodes without allocating.
+	// subMsg is the reused decode target for submission entries; its Obj
+	// string persists across warm requests so a repeated target decodes
+	// without allocating, and its Op comes from ops, the operations this
+	// connection's requests named last.
 	subMsg Msg
+	ops    opTable
 
 	// mkey selects this connection's metrics counter stripe.
 	mkey uint64
@@ -1560,7 +1562,7 @@ func (sc *serverConn) handleSubmit(dst []byte, id uint64, r *netCursor) []byte {
 		var err error
 		if baErr != nil {
 			err = baErr
-		} else if !unmarshalMsgInto(m, wire) {
+		} else if !unmarshalMsgInto(m, wire, &sc.ops) {
 			// Structurally framed but not a decodable message.
 			err = abiErr(EINVAL, "submit", "malformed message")
 		} else if err = ba.admitOp(m, wire); err == nil {
@@ -1572,6 +1574,7 @@ func (sc *serverConn) handleSubmit(dst []byte, id uint64, r *netCursor) []byte {
 			resp = appendErrBody(resp, m.Op, err)
 			continue
 		}
+		resp = growFrameBuf(resp, 1+binary.MaxVarintLen64+len(out))
 		resp = append(resp, wsOK)
 		resp = appendNetBytes(resp, out)
 	}

@@ -194,11 +194,13 @@ func (r *netCursor) completion() (out []byte, opErr error, ok bool) {
 // unmarshalMsgInto decodes one message of the appendMsgWire format into m,
 // reusing m's Args backing array and keeping the previous Op/Obj strings
 // when the bytes match — in a homogeneous batch the per-op string cost
-// collapses to the first message. Argument buffers alias buf, matching the
-// *Msg lifetime contract (valid for the duration of the dispatch). It is
-// the message form's one decoder: submission ingress runs it over every
-// entry, and DecodeWire over a fresh Msg (unmarshalMsg).
-func unmarshalMsgInto(m *Msg, buf []byte) bool {
+// collapses to the first message. With ops non-nil the operation string
+// comes from that table instead, so requests alternating among a few
+// operations convert none after the first of each. Argument buffers alias
+// buf, matching the *Msg lifetime contract (valid for the duration of the
+// dispatch). It is the message form's one decoder: submission ingress runs
+// it over every entry, and DecodeWire over a fresh Msg (unmarshalMsg).
+func unmarshalMsgInto(m *Msg, buf []byte, ops *opTable) bool {
 	if len(buf) < 4 {
 		return false
 	}
@@ -207,7 +209,9 @@ func unmarshalMsgInto(m *Msg, buf []byte) bool {
 	if uint32(len(buf)) < n {
 		return false
 	}
-	if string(buf[:n]) != m.Op {
+	if ops != nil {
+		m.Op = ops.intern(buf[:n])
+	} else if string(buf[:n]) != m.Op {
 		m.Op = string(buf[:n])
 	}
 	buf = buf[n:]
@@ -237,4 +241,26 @@ func unmarshalMsgInto(m *Msg, buf []byte) bool {
 		buf = buf[n:]
 	}
 	return true
+}
+
+// opTable holds the last few operation strings one connection's requests
+// named. A peer can make it convert a string per request, never grow it:
+// a new operation replaces the entries round-robin.
+type opTable struct {
+	ops  [4]string
+	next int
+}
+
+// intern returns the table's string for op, converting and recording op
+// when no entry matches.
+func (t *opTable) intern(op []byte) string {
+	for _, s := range t.ops {
+		if s == string(op) {
+			return s
+		}
+	}
+	s := string(op)
+	t.ops[t.next] = s
+	t.next = (t.next + 1) % len(t.ops)
+	return s
 }
