@@ -66,6 +66,58 @@ func TestAllocSyscallWarmAuthz(t *testing.T) {
 // kernel caches the decision stamped with its credential generation, and
 // a hit on it compares that generation with two atomic loads.
 func TestAllocSyscallWarmLabelRef(t *testing.T) {
+	k, cli, ch, m := labelRefCaller(t, `mayRead("obj")`)
+	if _, err := cli.Call(ch, m); err != nil { // the one guard upcall
+		t.Fatal(err)
+	}
+	upcalls := k.GuardUpcalls()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := cli.Call(ch, m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := k.GuardUpcalls() - upcalls; got != 0 {
+		t.Errorf("%d guard upcalls over the pinned run, want 0", got)
+	}
+	if allocs != 0 {
+		t.Errorf("warm call on a label reference allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestAllocSyscallWarmCachedDenial pins a cached denial at zero
+// allocations and zero guard upcalls: the decision cache builds the
+// denial's error once, when the denial is stored, and every hit returns
+// that value with the text and errno a fresh one would carry.
+func TestAllocSyscallWarmCachedDenial(t *testing.T) {
+	k, cli, ch, m := labelRefCaller(t, `mayWrite("obj")`)
+	if _, err := cli.Call(ch, m); kernel.ErrnoOf(err) != kernel.EACCES { // the one guard upcall
+		t.Fatalf("first call: want EACCES, got %v", err)
+	}
+	_, err := cli.Call(ch, m)
+	want := &kernel.Error{Errno: kernel.EACCES, Op: "read", Detail: "cached denial for " + cli.Prin().String() + " on obj"}
+	if e, ok := err.(*kernel.Error); !ok || *e != *want {
+		t.Fatalf("cached denial: got %#v, want %#v", err, want)
+	}
+	upcalls := k.GuardUpcalls()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := cli.Call(ch, m); kernel.ErrnoOf(err) != kernel.EACCES {
+			t.Fatalf("want EACCES, got %v", err)
+		}
+	})
+	if got := k.GuardUpcalls() - upcalls; got != 0 {
+		t.Errorf("%d guard upcalls over the pinned run, want 0", got)
+	}
+	if allocs != 0 {
+		t.Errorf("cached denial allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// labelRefCaller boots a kernel whose port guards ("read", "obj") with
+// "?S says mayRead(?O)" and returns a client session whose proof for that
+// tuple cites its own label saying statement, through a labelstore
+// reference, with its channel handle and the call's message.
+func labelRefCaller(t *testing.T, statement string) (*kernel.Kernel, *kernel.Session, kernel.Cap, *kernel.Msg) {
+	t.Helper()
 	k := allocKernel(t, kernel.Options{NoInterposition: true})
 	k.SetGuard(guard.New(k))
 	srv, err := k.NewSession([]byte("srv"))
@@ -88,28 +140,13 @@ func TestAllocSyscallWarmLabelRef(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := cli.Say(`mayRead("obj")`)
+	l, err := cli.Say(statement)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cli.SetProof("read", "obj", proof.Assume(0, l.Formula),
 		[]kernel.Credential{{Ref: &kernel.LabelRef{PID: cli.PID(), Handle: l.Handle}}})
-	m := &kernel.Msg{Op: "read", Obj: "obj"}
-	if _, err := cli.Call(ch, m); err != nil { // the one guard upcall
-		t.Fatal(err)
-	}
-	upcalls := k.GuardUpcalls()
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := cli.Call(ch, m); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got := k.GuardUpcalls() - upcalls; got != 0 {
-		t.Errorf("%d guard upcalls over the pinned run, want 0", got)
-	}
-	if allocs != 0 {
-		t.Errorf("warm call on a label reference allocates %.1f objects/op, want 0", allocs)
-	}
+	return k, cli, ch, &kernel.Msg{Op: "read", Obj: "obj"}
 }
 
 // TestAllocSyscallWarmAuthzObserved pins the same warm authorized path

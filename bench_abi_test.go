@@ -4,9 +4,12 @@ package nexus
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/nal"
 )
 
 // guardAllowAll admits every request cacheably, so the warm path is the
@@ -22,7 +25,10 @@ func (guardAllowAll) Check(*kernel.GuardRequest) kernel.GuardDecision {
 // iteration is one IPC operation, whichever entry shape carried it, so
 // batch=64 per-op latency must undercut single-call — the batch pushes N
 // operations through one kernel entry, resolving handles and authorizing
-// per op while amortizing marshaling and dispatch setup.
+// per op while amortizing marshaling and dispatch setup. call/parallel is
+// the single call from GOMAXPROCS sessions at once, each on its own core
+// where the machine has them, all reading the same cached decisions: a
+// warm call that shares no written cache line scales with the cores.
 //
 // The target is a guarded echo port behind the full dispatch pipeline:
 // authorization on with a warm decision cache, interposition on — the
@@ -61,6 +67,7 @@ func BenchmarkABI(b *testing.B) {
 			}
 		}
 	})
+	b.Run("call/parallel", func(b *testing.B) { abiCallParallel(b, k, srv, portID) })
 	for _, depth := range []int{1, 8, 64} {
 		subs := make([]kernel.Sub, depth)
 		for i := range subs {
@@ -81,6 +88,62 @@ func BenchmarkABI(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// abiCallParallel drives Session.Call through b.RunParallel, each
+// goroutine on its own session and channel handle, over one shared set of
+// goal-protected objects whose decisions every session has already cached.
+func abiCallParallel(b *testing.B, k *kernel.Kernel, srv *kernel.Session, portID int) {
+	const objs = 64
+	goal := nal.MustParse("?S says mayRead(?O)")
+	msgs := make([]*kernel.Msg, objs)
+	for i := range msgs {
+		msgs[i] = &kernel.Msg{Op: "read", Obj: fmt.Sprintf("/parallel/%d", i)}
+		if err := srv.SetGoal("read", msgs[i].Obj, goal, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	type caller struct {
+		s  *kernel.Session
+		ch kernel.Cap
+	}
+	callers := make([]caller, runtime.GOMAXPROCS(0))
+	for i := range callers {
+		s, err := k.NewSession([]byte(fmt.Sprintf("abi-par%d", i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ch, err := s.Open(portID)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range msgs { // cache every (session, object) decision
+			if _, err := s.Call(ch, m); err != nil {
+				b.Fatal(err)
+			}
+		}
+		callers[i] = caller{s, ch}
+	}
+	upcalls := k.GuardUpcalls()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var next atomic.Int64
+	b.RunParallel(func(pb *testing.PB) {
+		id := int(next.Add(1))
+		c := callers[id%len(callers)]
+		i := id * 17 // start each session on a different object
+		for pb.Next() {
+			if _, err := c.s.Call(c.ch, msgs[i%objs]); err != nil {
+				b.Error(err)
+				return
+			}
+			i++
+		}
+	})
+	b.StopTimer()
+	if n := k.GuardUpcalls() - upcalls; n != 0 {
+		b.Fatalf("%d guard upcalls: a timed call missed the decision cache", n)
 	}
 }
 

@@ -187,10 +187,12 @@ func parallelDCache(b *testing.B) {
 	c := kernel.NewDecisionCache(64)
 	const objs = 128
 	subj := "key:fp.boot.ipd.1"
-	obj := func(i int) string { return fmt.Sprintf("obj%d", i%objs) }
-	for i := 0; i < objs; i++ {
-		c.Insert(subj, "read", obj(i), true)
+	names := make([]string, objs)
+	for i := range names {
+		names[i] = fmt.Sprintf("obj%d", i)
+		c.Insert(subj, "read", names[i], true)
 	}
+	obj := func(i int) string { return names[i%objs] }
 
 	b.ReportAllocs()
 	b.ResetTimer()

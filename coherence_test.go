@@ -49,7 +49,7 @@ type coTuple struct {
 	remote bool
 
 	goal       nal.Formula // the goal the current grant discharges
-	goalBroken bool        // the goal was replaced by one nothing discharges
+	goalBroken bool        // the goal was cleared, or replaced by one nothing discharges
 
 	holder   *kernel.Session // coLocalRef: whose store holds the label
 	handle   int             // the label's handle in the holder's or proxy's store
@@ -99,7 +99,9 @@ var undischargeable = nal.MustParse("?S says elevated")
 // goroutines call guarded tuples locally and over the loopback transport,
 // presenting label references, certificates and an authority's answer,
 // while one mutator goroutine alternates, tuple by tuple, a revoking change
-// with a re-grant, and probes the tuple after each. Writes never overlap,
+// with a re-grant, and probes the tuple after each. Every object is
+// registered to the server as its creator, so a ClearGoal revokes too: the
+// default policy then admits only the creator. Writes never overlap,
 // so each tuple's expected outcome is a register: a call is explained iff
 // its outcome is the value of a write invoked before the call returned
 // that no later write had superseded, by returning, before the call was
@@ -273,6 +275,7 @@ func (w *coWorld) addTuple(kind coKind, i int) {
 	t.Helper()
 	name := fmt.Sprintf("%s/%d", [...]string{"local-ref", "local-cert", "remote-ref", "remote-cert", "authority"}[kind], i)
 	tp := &coTuple{name: name, kind: kind, obj: "/" + name}
+	w.kStore.RegisterObject(tp.obj, w.srv.Prin())
 	var err error
 	tp.remote = kind == coRemoteRef || kind == coRemoteCert
 	if tp.remote {
@@ -343,11 +346,11 @@ func (w *coWorld) mutate(i, round int, grant bool) error {
 		change = func() error { return w.grant(tp) }
 	} else {
 		revokers := map[coKind][]string{
-			coLocalRef:   {"delete", "transfer", "exit", "clearproof", "setgoal"},
-			coLocalCert:  {"revoke", "revokesigner", "clearproof", "setgoal"},
-			coRemoteRef:  {"delete", "exit", "setgoal"},
-			coRemoteCert: {"revoke", "revokesigner", "setgoal"},
-			coAuthority:  {"flip"},
+			coLocalRef:   {"delete", "transfer", "exit", "clearproof", "setgoal", "cleargoal"},
+			coLocalCert:  {"revoke", "revokesigner", "clearproof", "setgoal", "cleargoal"},
+			coRemoteRef:  {"delete", "exit", "setgoal", "cleargoal"},
+			coRemoteCert: {"revoke", "revokesigner", "setgoal", "cleargoal"},
+			coAuthority:  {"flip", "cleargoal"},
 		}[tp.kind]
 		e.what = revokers[(round+i)%len(revokers)]
 		change = func() error { return w.revoke(tp, e.what) }
@@ -389,6 +392,9 @@ func (w *coWorld) revoke(tp *coTuple, what string) error {
 	case "setgoal":
 		tp.goalBroken = true
 		return w.srv.SetGoal("read", tp.obj, undischargeable, nil)
+	case "cleargoal":
+		tp.goalBroken = true
+		return w.srv.ClearGoal("read", tp.obj)
 	case "revoke":
 		w.kStore.CertCache().Revoke(tp.cert.Fingerprint())
 		return nil
@@ -416,7 +422,7 @@ func (w *coWorld) proxyOrHolder(tp *coTuple) *kernel.Labelstore {
 }
 
 // grant gives tp a fresh credential its goal accepts: the original goal
-// back if a SetGoal broke it, then a new label or certificate (a new
+// back if a SetGoal or ClearGoal broke it, then a new label or certificate (a new
 // signer, and the goal naming it, after a signer revocation) and the
 // proof citing it, or the authority's yes.
 func (w *coWorld) grant(tp *coTuple) error {

@@ -1,13 +1,21 @@
 // Package cachestat defines the hit/miss/eviction statistics contract
-// shared by the authorization caches: the guard proof cache (§2.9) and the
-// kernel decision cache (§2.8). Both caches expose the same Stats shape so
-// benchmarks and operators read them uniformly.
+// shared by the authorization caches: the kernel decision cache (§2.8),
+// the guard proof cache (§2.9), the credential verify cache and the proof
+// memo. They all expose the same Stats shape so benchmarks and operators
+// read them uniformly.
+//
+// A hit, the warm path's only event, adds to one word of a stripe the
+// caller chooses; the stripes are cache-line padded, so callers on
+// different cores that pass different stripe keys (the kernel decision
+// cache passes the calling process's PID) never write a line another core
+// reads. Misses and evictions, which happen off the warm path, are single
+// words. Lookups is not counted: Snapshot reports it as Hits + Misses.
 package cachestat
 
 import "sync/atomic"
 
-// Stats is a point-in-time snapshot of cache activity. Whenever the cache
-// is quiescent, Lookups == Hits + Misses.
+// Stats is a point-in-time snapshot of cache activity; Lookups is always
+// Hits + Misses.
 type Stats struct {
 	Lookups   uint64
 	Hits      uint64
@@ -15,17 +23,29 @@ type Stats struct {
 	Evictions uint64
 }
 
+// numStripes is the hit-counter stripe count (a power of two).
+const numStripes = 16
+
+// stripe is one hit word padded to a cache line of its own.
+type stripe struct {
+	n atomic.Uint64
+	_ [56]byte
+}
+
 // Counters is the lock-free accumulator backing Stats. The zero value is
 // ready to use.
 type Counters struct {
-	lookups, hits, misses, evictions atomic.Uint64
+	misses, evictions atomic.Uint64
+	_                 [56]byte // keeps hits[0] off the line misses share
+	hits              [numStripes]stripe
 }
 
-// Lookup records one cache probe and its outcome.
-func (c *Counters) Lookup(hit bool) {
-	c.lookups.Add(1)
+// Lookup records one cache probe and its outcome. key picks the hit
+// stripe: pass something stable per concurrent caller, such as a PID, so
+// that callers on different cores write different cache lines.
+func (c *Counters) Lookup(key uint64, hit bool) {
 	if hit {
-		c.hits.Add(1)
+		c.hits[key&(numStripes-1)].n.Add(1)
 	} else {
 		c.misses.Add(1)
 	}
@@ -38,23 +58,23 @@ func (c *Counters) Evicted(n uint64) {
 	}
 }
 
-// Snapshot reads the counters. Individual fields are each read atomically;
-// cross-field invariants hold only when the cache is quiescent.
+// Snapshot reads the counters. Individual words are each read atomically;
+// a snapshot taken while lookups run may mix their before and after.
 func (c *Counters) Snapshot() Stats {
-	return Stats{
-		Lookups:   c.lookups.Load(),
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
+	s := Stats{Misses: c.misses.Load(), Evictions: c.evictions.Load()}
+	for i := range c.hits {
+		s.Hits += c.hits[i].n.Load()
 	}
+	s.Lookups = s.Hits + s.Misses
+	return s
 }
 
 // Reset zeroes all counters. Not linearizable with respect to concurrent
-// Lookup calls; callers that need exact invariants reset only while
-// quiescent.
+// Lookup calls; callers that need exact counts reset only while quiescent.
 func (c *Counters) Reset() {
-	c.lookups.Store(0)
-	c.hits.Store(0)
 	c.misses.Store(0)
 	c.evictions.Store(0)
+	for i := range c.hits {
+		c.hits[i].n.Store(0)
+	}
 }

@@ -104,15 +104,16 @@ func (vc *VerifyCache) Label(c *Certificate) (nal.Formula, nal.FormulaID, error)
 	e, hit := sh.m[fp]
 	sh.mu.RUnlock()
 
+	// Probes come from guard checks, off the warm path: one hit stripe.
 	if hit {
 		if vc.revoked(fp, e.signer) {
-			vc.stats.Lookup(false)
+			vc.stats.Lookup(0, false)
 			return nil, 0, ErrRevoked
 		}
-		vc.stats.Lookup(true)
+		vc.stats.Lookup(0, true)
 		return e.label, e.labelID, nil
 	}
-	vc.stats.Lookup(false)
+	vc.stats.Lookup(0, false)
 
 	signer, err := c.Verify()
 	if err != nil {

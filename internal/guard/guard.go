@@ -172,11 +172,12 @@ func (g *Generic) Check(req *kernel.GuardRequest) kernel.GuardDecision {
 	b := nal.Binding{Subject: req.Subject, Obj: req.Obj, Op: req.Op}
 	var keyBuf [256]byte // a longer key spills to the heap
 	key := appendCacheKey(keyBuf[:0], req.Goal, &b, req.Proof, creds, credIDs)
-	sh := &g.shards[shardIndex(key)]
+	si := shardIndex(key)
+	sh := &g.shards[si]
 	sh.mu.RLock()
 	entry, hit := sh.entries[string(key)]
 	sh.mu.RUnlock()
-	g.stats.Lookup(hit)
+	g.stats.Lookup(uint64(si), hit)
 
 	if !hit {
 		return g.checkMiss(req, &b, key, creds, credIDs)

@@ -2,7 +2,10 @@ package kernel
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // distinctRegions returns two (op, obj) pairs that land in different
@@ -151,10 +154,10 @@ func TestDCacheDynamicEntryFollowsGeneration(t *testing.T) {
 	}
 	c := NewDecisionCache(4)
 	insert := func() {
-		c.insertIf("alice", "read", "obj", dcEntry{allow: true, dynamic: true, gen: k.credGen()}, c.Epoch("read", "obj"))
+		c.insertIf("alice", "read", "obj", decisionWord(true, true, k.credGen()), c.Epoch("read", "obj"))
 	}
 	insert()
-	if allow, ok := c.lookup("alice", "read", "obj", k); !ok || !allow {
+	if deny, ok := c.lookup("alice", "read", "obj", k, 0); !ok || deny != nil {
 		t.Fatal("dynamic entry missed at its own generation")
 	}
 	if _, ok := c.Lookup("alice", "read", "obj"); ok {
@@ -170,14 +173,14 @@ func TestDCacheDynamicEntryFollowsGeneration(t *testing.T) {
 	} {
 		before := c.StatsSnapshot()
 		change.do()
-		if _, ok := c.lookup("alice", "read", "obj", k); ok {
+		if _, ok := c.lookup("alice", "read", "obj", k, 0); ok {
 			t.Errorf("%s: dynamic entry still hits", change.name)
 		}
 		if s := c.StatsSnapshot(); s.Misses != before.Misses+1 {
 			t.Errorf("%s: stale entry counted %d misses, want 1", change.name, s.Misses-before.Misses)
 		}
 		insert()
-		if _, ok := c.lookup("alice", "read", "obj", k); !ok {
+		if _, ok := c.lookup("alice", "read", "obj", k, 0); !ok {
 			t.Errorf("%s: re-made decision not cached", change.name)
 		}
 	}
@@ -188,5 +191,113 @@ func TestDCacheDynamicEntryFollowsGeneration(t *testing.T) {
 	}
 	if k.credGen() != gen {
 		t.Error("adding a label moved the credential generation")
+	}
+}
+
+// TestDCacheGrowthKeepsKeysVisible fills one subregion with keys, growing
+// its index several times, while a reader looks up keys whose insert has
+// returned: every such lookup must hit, whichever table it probes.
+func TestDCacheGrowthKeepsKeysVisible(t *testing.T) {
+	c := NewDecisionCache(1)
+	const keys = 2000
+	var inserted atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < keys; i++ {
+			c.Insert(fmt.Sprintf("s%d", i), "read", "obj", true)
+			inserted.Store(int64(i + 1))
+		}
+	}()
+	misses := 0
+	for n := int64(0); n < keys; {
+		n = inserted.Load()
+		for i := int64(0); i < n; i += 1 + n/64 {
+			if allow, ok := c.Lookup(fmt.Sprintf("s%d", i), "read", "obj"); !ok || !allow {
+				misses++
+			}
+		}
+	}
+	<-done
+	if misses > 0 {
+		t.Fatalf("%d lookups of inserted keys missed", misses)
+	}
+	if n := c.Len(); n != keys {
+		t.Fatalf("Len = %d, want %d", n, keys)
+	}
+}
+
+// TestDCacheRewriteAllocatesNothing pins a key the index already holds:
+// invalidating it and storing a new decision for it, a denial included,
+// are atomic stores into its cell and allocate nothing.
+func TestDCacheRewriteAllocatesNothing(t *testing.T) {
+	c := NewDecisionCache(4)
+	c.Insert("alice", "read", "obj", false) // builds the cell and its denial error
+	allocs := testing.AllocsPerRun(100, func() {
+		c.InvalidateEntry("alice", "read", "obj")
+		c.InsertIf("alice", "read", "obj", true, c.Epoch("read", "obj"))
+		c.Insert("alice", "read", "obj", false)
+	})
+	if allocs != 0 {
+		t.Errorf("rewriting a held key allocates %.1f objects/op, want 0", allocs)
+	}
+	if allow, ok := c.Lookup("alice", "read", "obj"); !ok || allow {
+		t.Errorf("after rewrites: allow=%v ok=%v, want a cached denial", allow, ok)
+	}
+}
+
+// TestWarmReadsTakeNoLock holds a decision-cache subregion's writer
+// mutex, then a session's handle-table mutex, while another goroutine
+// makes 1,000 lookups or resolves behind it. Warm reads take no lock, so
+// they finish while the writer still holds its mutex.
+func TestWarmReadsTakeNoLock(t *testing.T) {
+	k := bootKernel(t)
+	s, err := k.NewSession([]byte("reader"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.OpenObject("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	subj := s.p.PrinString()
+	k.dcache.Insert(subj, "read", "obj", true)
+	r, _ := k.dcache.locate(subj, "read", "obj")
+	for _, tc := range []struct {
+		name string
+		mu   sync.Locker
+		read func() bool
+	}{
+		{"decision-cache lookup", &r.mu, func() bool {
+			deny, ok := k.dcache.lookup(subj, "read", "obj", k, uint64(s.p.PID))
+			return ok && deny == nil
+		}},
+		{"handle resolve", &s.ht.mu, func() bool {
+			_, obj, err := s.resolve(c)
+			return err == nil && obj == "obj"
+		}},
+	} {
+		tc := tc
+		tc.mu.Lock()
+		done := make(chan bool, 1)
+		go func() {
+			ok := true
+			for i := 0; i < 1000; i++ {
+				ok = tc.read() && ok
+			}
+			done <- ok
+		}()
+		select {
+		case ok := <-done:
+			if !ok {
+				t.Errorf("%s: a read failed", tc.name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: 1,000 reads did not finish within 5 s while the writer held its mutex", tc.name)
+			tc.mu.Unlock()
+			<-done
+			continue
+		}
+		tc.mu.Unlock()
 	}
 }

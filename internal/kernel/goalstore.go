@@ -210,17 +210,18 @@ func (k *Kernel) GuardUpcalls() uint64 { return k.guardUpcalls.Load() }
 
 // authorize enforces the goal (if any) on (subject, op, obj): decision
 // cache first, guard upcall on miss (§2.8, Figure 1). The hit path is
-// allocation-free; the miss path (authorizeMiss) allocates what it stores
-// and a denial's error.
+// allocation-free, a cached denial included: it returns the error the
+// cache built when the denial was stored. The miss path (authorizeMiss)
+// allocates what it stores and a denial's error.
 func (k *Kernel) authorize(from *Process, op, obj string) error {
 	subj := from.PrinString()
 
 	// Fast path: cached decision.
-	if allow, ok := k.dcache.lookup(subj, op, obj, k); ok {
-		if allow {
-			return nil
+	if deny, ok := k.dcache.lookup(subj, op, obj, k, uint64(from.PID)); ok {
+		if deny != nil {
+			return deny
 		}
-		return abiErr(EACCES, op, "cached denial for "+subj+" on "+obj) //nexus:coldpath
+		return nil
 	}
 	return k.authorizeMiss(from, subj, op, obj)
 }
@@ -243,8 +244,8 @@ func (k *Kernel) authorizeMiss(from *Process, subj, op, obj string) error {
 	// The epoch is read before any goal or proof state: if a setgoal or
 	// setproof invalidation lands while the decision below is in flight,
 	// InsertIf discards the result instead of caching it stale. (Reading
-	// it only after the fast-path miss keeps the cached path at a single
-	// region-lock acquisition.)
+	// it only after the fast-path miss keeps the cached path at two
+	// atomic loads.)
 	epoch := k.dcache.Epoch(op, obj)
 	// The credential generation is read next, before any label or
 	// certificate state: a label removal or a revocation that returns
@@ -312,7 +313,7 @@ func (k *Kernel) authorizeMiss(from *Process, subj, op, obj string) error {
 	guardReqs.Put(req)
 	k.audit.record(subj, op, obj, dec.Allow, dec.Reason)
 	if dec.Cacheable {
-		k.dcache.insertIf(subj, op, obj, dcEntry{allow: dec.Allow, dynamic: dynamic, gen: gen}, epoch)
+		k.dcache.insertIf(subj, op, obj, decisionWord(dec.Allow, dynamic, gen), epoch)
 	}
 	if !dec.Allow {
 		return abiErr(EACCES, op, dec.Reason)

@@ -43,11 +43,19 @@ type hslot struct {
 	rport int
 }
 
-// handleTable is the per-process capability table: sharded like the port
-// registry so the warm resolve path costs one shard read-lock, with an
-// atomic slot allocator (slots are never reused — a closed slot simply
-// leaves its shard map, so stale handles cannot alias new objects even
-// before the generation check).
+// handleTable is the per-process capability table. Its slots sit in
+// chunks of htChunkLen that a directory, published through an atomic
+// pointer, lists in slot order; every directory the table publishes
+// shares the chunks before it, so a slot's latest store is seen through
+// any of them. A resolve is one atomic load of the directory, one of the
+// slot and the generation check, with no lock. Every write (alloc, close,
+// drain) is a control-plane call — Listen, Open, OpenObject, Dup, Close,
+// Exit — and runs under mu, so the warm Call path never waits on one:
+// alloc and close each store one slot, and alloc adds a chunk to the
+// directory once every htChunkLen new slots. A closed slot is reused,
+// last closed first, under a new generation; generations grow with every
+// alloc, so a stale handle fails the generation check instead of aliasing
+// the slot's new object.
 //
 // Invariants (asserted by FuzzHandleTable and the registry stress test):
 //   - a live slot's generation matches the Cap that named it at alloc time;
@@ -56,13 +64,16 @@ type hslot struct {
 //     its process;
 //   - dup'd handles resolve to the same referent until individually closed.
 //
-// Lock ordering: handle shard mutexes are leaves; no code path holds one
-// while taking any other kernel lock.
+// Lock ordering: mu is a leaf; no code path holds it while taking any
+// other kernel lock.
 type handleTable struct {
-	dead   atomic.Bool
-	next   atomic.Uint32
-	gen    atomic.Uint32
-	shards [htShards]htShard
+	dir atomic.Pointer[[]*htChunk]
+
+	mu   sync.Mutex // serializes writers; guards free, top, gen and dead
+	free []uint32   // closed slots, reused last closed first
+	top  uint32     // highest slot issued
+	gen  uint32     // last generation issued
+	dead bool       // drained: no further alloc
 
 	// chanMu orders the pid-level channel grant Session.Open and Dup make
 	// for a new slot against Session.Close's last-handle check and revoke:
@@ -71,21 +82,14 @@ type handleTable struct {
 	chanMu sync.Mutex
 }
 
-const htShards = 8
+// htChunkLen is the number of slots in one chunk of a handle table.
+const htChunkLen = 32
 
-type htShard struct {
-	mu sync.RWMutex
-	m  map[uint32]hslot
-}
+// htChunk is a run of handle-table slots; a nil slot is free.
+type htChunk [htChunkLen]atomic.Pointer[hslot]
 
 func (t *handleTable) init() {
-	for i := range t.shards {
-		t.shards[i].m = map[uint32]hslot{}
-	}
-}
-
-func (t *handleTable) shard(slot uint32) *htShard {
-	return &t.shards[slot&(htShards-1)]
+	t.dir.Store(new([]*htChunk))
 }
 
 // capOf/capSlot/capGen pack and unpack handles. Slot 0 is never allocated,
@@ -95,100 +99,105 @@ func capOf(slot, gen uint32) Cap { return Cap(uint64(slot) | uint64(gen)<<32) }
 func capSlot(c Cap) uint32 { return uint32(c) }
 func capGen(c Cap) uint32  { return uint32(c >> 32) }
 
-// alloc inserts a slot and returns its handle; fails on a drained table.
-func (t *handleTable) alloc(s hslot) (Cap, bool) {
-	if t.dead.Load() {
-		return 0, false
+// slot returns slot n of the published directory, or nil if the directory
+// does not reach n.
+func (t *handleTable) slot(n uint32) *atomic.Pointer[hslot] {
+	dir := *t.dir.Load()
+	i := n - 1 // slot 0 wraps past every directory
+	if i/htChunkLen >= uint32(len(dir)) {
+		return nil
 	}
-	slot := t.next.Add(1)
-	s.gen = t.gen.Add(1)
-	sh := t.shard(slot)
-	sh.mu.Lock()
-	sh.m[slot] = s
-	sh.mu.Unlock()
-	// Unwind an alloc that raced drain: whichever entries drain's sweep
-	// missed are removed here, keeping "no handle outlives its process".
-	if t.dead.Load() {
-		sh.mu.Lock()
-		delete(sh.m, slot)
-		sh.mu.Unlock()
-		return 0, false
-	}
-	return capOf(slot, s.gen), true
+	return &dir[i/htChunkLen][i%htChunkLen]
 }
 
-// lookup resolves a handle: one shard read-lock plus the generation check.
+// alloc inserts a slot and returns its handle; fails on a drained table.
+func (t *handleTable) alloc(s hslot) (Cap, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.dead {
+		return 0, false
+	}
+	var n uint32
+	if k := len(t.free); k > 0 {
+		n, t.free = t.free[k-1], t.free[:k-1]
+	} else {
+		t.top++
+		n = t.top
+		if dir := *t.dir.Load(); (n-1)/htChunkLen == uint32(len(dir)) {
+			// append writes past every published directory's length, so
+			// no reader indexes the element it stores.
+			grown := append(dir, new(htChunk))
+			t.dir.Store(&grown)
+		}
+	}
+	t.gen++
+	s.gen = t.gen
+	t.slot(n).Store(&s)
+	return capOf(n, s.gen), true
+}
+
+// lookup resolves a handle: two atomic loads and the generation check.
+//
+//nexus:noalloc
 func (t *handleTable) lookup(c Cap) (hslot, bool) {
-	slot := capSlot(c)
-	if slot == 0 {
-		return hslot{}, false
+	if p := t.slot(capSlot(c)); p != nil {
+		if s := p.Load(); s != nil && s.gen == capGen(c) {
+			return *s, true
+		}
 	}
-	sh := t.shard(slot)
-	sh.mu.RLock()
-	s, ok := sh.m[slot]
-	sh.mu.RUnlock()
-	if !ok || s.gen != capGen(c) {
-		return hslot{}, false
-	}
-	return s, true
+	return hslot{}, false
 }
 
 // close removes a handle, returning the slot it held.
 func (t *handleTable) close(c Cap) (hslot, bool) {
-	slot := capSlot(c)
-	if slot == 0 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s, ok := t.lookup(c)
+	if !ok {
 		return hslot{}, false
 	}
-	sh := t.shard(slot)
-	sh.mu.Lock()
-	s, ok := sh.m[slot]
-	if ok && s.gen == capGen(c) {
-		delete(sh.m, slot)
-	} else {
-		ok = false
+	t.slot(capSlot(c)).Store(nil)
+	t.free = append(t.free, capSlot(c))
+	return s, true
+}
+
+// each calls f with every live slot number and its entry.
+func (t *handleTable) each(f func(n uint32, s *hslot)) {
+	for c, ch := range *t.dir.Load() {
+		for i := range ch {
+			if s := ch[i].Load(); s != nil {
+				f(uint32(c*htChunkLen+i+1), s)
+			}
+		}
 	}
-	sh.mu.Unlock()
-	return s, ok
 }
 
 // refsPort reports whether any live handle still references the port;
 // close uses it to decide whether the pid-level channel grant may drop.
 func (t *handleTable) refsPort(pt *Port) bool {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.m {
-			if s.port == pt {
-				sh.mu.RUnlock()
-				return true
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return false
+	refs := false
+	t.each(func(_ uint32, s *hslot) { refs = refs || s.port == pt })
+	return refs
 }
 
 // drain marks the table dead and empties it: the Exit teardown step for
-// handles. Idempotent; concurrent allocs observe dead and unwind.
+// handles. Idempotent; a later alloc fails.
 func (t *handleTable) drain() {
-	t.dead.Store(true)
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		sh.m = map[uint32]hslot{}
-		sh.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.dead = true
+	for _, ch := range *t.dir.Load() {
+		for i := range ch {
+			ch[i].Store(nil)
+		}
 	}
+	t.free = nil
 }
 
 // len counts live handles (introspection and tests).
 func (t *handleTable) len() int {
 	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
+	t.each(func(uint32, *hslot) { n++ })
 	return n
 }
 

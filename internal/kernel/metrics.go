@@ -20,9 +20,10 @@ import (
 //
 //  1. Nothing on the warm authorized-syscall path touches it. The warm
 //     path's only observable event — a dcache hit — is already counted by
-//     the cache's own striped cachestat counters; instrumentation here is
-//     confined to miss and transport paths. alloc_test.go pins the warm
-//     path at 0 allocs/op with metrics (and a ledger) attached.
+//     the cache's own cachestat counters, in the hit stripe the caller's
+//     PID selects; instrumentation here is confined to miss and transport
+//     paths. alloc_test.go pins the warm path at 0 allocs/op with metrics
+//     (and a ledger) attached.
 //  2. Writes are striped atomics. Counter stripes are cache-line padded
 //     and selected by caller identity (PID, connection id), so concurrent
 //     writers on different stripes never share a line; reads sum stripes.
@@ -145,7 +146,8 @@ func (m *kernelMetrics) total(id metricID) uint64 {
 // plane: every field is a plain number (histograms aside), so rows diff
 // and plot without parsing.
 type MetricsSnapshot struct {
-	// Decision cache (from the cache's own striped counters).
+	// Decision cache (from the cache's own counters; lookups are hits +
+	// misses).
 	DCacheLookups   uint64
 	DCacheHits      uint64
 	DCacheMisses    uint64

@@ -242,16 +242,11 @@ func (s *Session) Handles() int { return s.ht.len() }
 // it returns the lowest-numbered live one; with none, EBADF.
 func (s *Session) ListeningPort() (int, error) {
 	best := 0
-	for i := range s.ht.shards {
-		sh := &s.ht.shards[i]
-		sh.mu.RLock()
-		for _, sl := range sh.m {
-			if sl.kind == capPort && !sl.port.dead.Load() && (best == 0 || sl.port.ID < best) {
-				best = sl.port.ID
-			}
+	s.ht.each(func(_ uint32, sl *hslot) {
+		if sl.kind == capPort && !sl.port.dead.Load() && (best == 0 || sl.port.ID < best) {
+			best = sl.port.ID
 		}
-		sh.mu.RUnlock()
-	}
+	})
 	if best == 0 {
 		return 0, ErrBadHandle
 	}
@@ -260,7 +255,8 @@ func (s *Session) ListeningPort() (int, error) {
 
 // resolve maps a Cap to its target for dispatch: a port for port/channel
 // handles, or nil with the object name for object handles (which dispatch
-// as authorization-checked null system calls). One handle-shard read-lock.
+// as authorization-checked null system calls). No lock: two atomic loads
+// (handleTable.lookup).
 func (s *Session) resolve(c Cap) (*Port, string, *Error) {
 	sl, ok := s.ht.lookup(c)
 	if !ok {

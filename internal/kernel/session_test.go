@@ -88,6 +88,21 @@ func TestHandleLifecycle(t *testing.T) {
 	if cli.Handles() != 0 {
 		t.Fatalf("handles remain after closes: %d", cli.Handles())
 	}
+	// The next handle reuses the last closed slot under a new generation,
+	// and the closed handle naming that slot still misses.
+	obj, err := cli.OpenObject("o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if capSlot(obj) != capSlot(dup) {
+		t.Fatalf("new handle took slot %d, want the last closed slot %d", capSlot(obj), capSlot(dup))
+	}
+	if _, err := cli.ObjectOf(dup); !errors.Is(err, ErrBadHandle) {
+		t.Fatalf("stale handle on a reused slot: want ErrBadHandle, got %v", err)
+	}
+	if name, err := cli.ObjectOf(obj); err != nil || name != "o" {
+		t.Fatalf("ObjectOf(new handle) = %q, %v", name, err)
+	}
 }
 
 func TestCloseOwnerHandleTearsDownPort(t *testing.T) {
@@ -98,14 +113,11 @@ func TestCloseOwnerHandleTearsDownPort(t *testing.T) {
 	}
 	// Find the owner handle: it is srv's only handle.
 	var ownerCap Cap
-	for i := range srv.ht.shards {
-		sh := &srv.ht.shards[i]
-		for slot, sl := range sh.m {
-			if sl.kind == capPort {
-				ownerCap = capOf(slot, sl.gen)
-			}
+	srv.ht.each(func(slot uint32, sl *hslot) {
+		if sl.kind == capPort {
+			ownerCap = capOf(slot, sl.gen)
 		}
-	}
+	})
 	if err := srv.Close(ownerCap); err != nil {
 		t.Fatal(err)
 	}

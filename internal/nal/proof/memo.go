@@ -87,7 +87,7 @@ func memoLookup(k *memoKey) (memoVal, bool) {
 	sh.mu.RLock()
 	v, ok := sh.m[*k]
 	sh.mu.RUnlock()
-	memoStats.Lookup(ok)
+	memoStats.Lookup(0, ok) // probes come from guard misses: one hit stripe
 	return v, ok
 }
 
