@@ -7,21 +7,32 @@
 // pooled scratch and blocks for the next frame; when a read fails or
 // onFrame returns false, it returns and its caller tears the end down.
 //
-// Waiting is the reader's job. TCP on Linux parks in the runtime netpoller
-// (tcpreader_linux.go), a loopback end waits on its pipe's condvar, and any
-// other Conn blocks in its own Recv. Closing a Conn wakes its blocked
-// reader, so tearing a connection down is a Close and nothing more.
+// A Conn is a byte stream, and each end has one splitter that cuts it into
+// frames at their length prefixes (nextFrame). The splitter is built before
+// the handshake, which reads through it, and drive takes it over, so bytes
+// that arrived in the same read as the last handshake frame stay with the
+// end. The read is the only part that differs between transports: a TCP
+// end on Linux reads its socket directly and parks in the runtime
+// netpoller (tcpreader_linux.go), and every other Conn is read through its
+// Read, which waits. Closing a Conn wakes its blocked reader, so tearing a
+// connection down is a Close and nothing more.
 //
-// drive moves frames and holds none: a reader that copies frames out of a
-// stream takes each buffer from framePool (egress.go), and the serving end
-// hands a request frame whose payload cannot outlive its exchange straight
-// back to it (serverConn.onFrame), so an idle end keeps no frame buffer.
+// drive moves frames and holds none: the splitter copies each frame into a
+// framePool buffer (egress.go), and the serving end hands a request frame
+// whose payload cannot outlive its exchange straight back to it
+// (serverConn.onFrame), so an idle end keeps no frame buffer.
 //
 // A handler runs on its connection's goroutine, so a handler that blocks
 // holds up only its own connection. That includes a handler making a
 // nested synchronous remote call: it waits on a Peer whose own goroutine
 // delivers the answer.
 package kernel
+
+import (
+	"encoding/binary"
+	"io"
+	"sync"
+)
 
 // TransportConfig sizes a Node's transport runtime. The zero value selects
 // every default; NewNode uses it.
@@ -61,39 +72,149 @@ func (c TransportConfig) withDefaults() TransportConfig {
 	return c
 }
 
-// frameReader is the ingress side of one connection end. next returns the
-// next frame, owned by the caller; with wait false it returns (nil, nil)
-// when no frame is available without blocking. A reader that copies frames
-// out of a stream copies them into framePool buffers.
-type frameReader interface {
-	next(wait bool) ([]byte, error)
+// rxSize is the receive buffer: one read takes up to this much of the
+// stream, which covers a full egress flush (egressHighWater) from the peer.
+const rxSize = 16 << 10
+
+// rxPool holds receive buffers. A pointer to an array goes through a
+// sync.Pool without allocating, where a slice header would not.
+var rxPool = sync.Pool{New: func() any { return new([rxSize]byte) }}
+
+// smallRead sizes the buffer a splitter that holds no bytes reads its Conn
+// into. A Conn can only be read by blocking, so an idle end waits in it
+// instead of in a pooled receive buffer, and a short request or response
+// arrives in it whole and is cut straight out of it.
+const smallRead = 40
+
+// byteQueue holds bytes in arrival order in one buffer, from b[off]; b is
+// nil when it holds none, so an empty queue holds no buffer. The buffer
+// comes from framePool, or is a splitter's small one. The splitter keeps
+// the bytes it read and has not cut yet in one, and a loopback pipe keeps
+// each direction's unread bytes in one.
+type byteQueue struct {
+	b   []byte
+	off int
 }
 
-// readerFor picks the reader for c: a loopback end reads its pipe's queue,
-// TCP reads the socket directly where the raw reader builds, and any other
-// Conn is read through its blocking Recv.
-func readerFor(c Conn, m *kernelMetrics, mkey uint64) frameReader {
-	switch c := c.(type) {
-	case *loopConn:
-		return c
-	case *tcpConn:
-		if r := newTCPReader(c, m, mkey); r != nil {
-			return r
+// bytes returns the held bytes.
+func (q *byteQueue) bytes() []byte { return q.b[q.off:] }
+
+// push appends p. When p does not fit behind the held bytes they move to
+// the front of the buffer, if what was consumed before them is at least as
+// long as they are, or else into a framePool buffer of twice the capacity,
+// so every byte is copied a bounded number of times and a large frame
+// assembles in linear time.
+func (q *byteQueue) push(p []byte) {
+	if len(q.b)+len(p) > cap(q.b) {
+		held := q.bytes()
+		if q.off >= len(held) && len(held)+len(p) <= cap(q.b) {
+			q.b = append(q.b[:0], held...) // compact: the copy may overlap
+		} else {
+			b := getFrameBuf(max(len(held)+len(p), 2*cap(q.b)))[:0]
+			b = append(b, held...)
+			putFrameBuf(q.b)
+			q.b = b
+		}
+		q.off = 0
+	}
+	q.b = append(q.b, p...)
+}
+
+// consume drops the first n held bytes; the buffer goes back to framePool
+// once none remain.
+func (q *byteQueue) consume(n int) {
+	if q.off += n; q.off == len(q.b) {
+		putFrameBuf(q.b)
+		q.b, q.off = nil, 0
+	}
+}
+
+// splitter is the ingress of one connection end, confined to the end's
+// goroutine: it reads the end's byte stream and returns it frame by frame.
+// The queue holds the bytes read but not yet returned as a frame.
+type splitter struct {
+	byteQueue
+	c     Conn
+	raw   *rawReader // non-nil: the socket is read directly (fill)
+	small [smallRead]byte
+}
+
+// newSplitter builds the splitter for c, before its handshake.
+func newSplitter(c Conn, m *kernelMetrics, mkey uint64) *splitter {
+	return &splitter{c: c, raw: newRawReader(c, m, mkey)}
+}
+
+// next returns the next frame, copied into a framePool buffer and owned by
+// the caller. With wait false it returns (nil, nil) when no frame is
+// available without blocking.
+//
+//nexus:noalloc
+func (s *splitter) next(wait bool) ([]byte, error) {
+	for {
+		if f, err := s.cut(); f != nil || err != nil {
+			return f, err
+		}
+		if ok, err := s.fill(wait); !ok {
+			return nil, err
 		}
 	}
-	return recvReader{c}
 }
 
-// recvReader reads a Conn the runtime does not recognise through its
-// blocking Recv. It never reports a frame as available without waiting, so
-// drive flushes after every frame.
-type recvReader struct{ c Conn }
-
-func (r recvReader) next(wait bool) ([]byte, error) {
+// readConn reads s's Conn once, if it may wait, and holds what it read:
+// in small while the splitter holds nothing, so a waiting end holds no
+// pooled buffer, and through a pooled receive buffer while a frame is
+// part-read. ok reports that it read bytes; a read that returns bytes
+// drops its error, and the next read reports it again.
+func (s *splitter) readConn(wait bool) (ok bool, err error) {
 	if !wait {
-		return nil, nil
+		return false, nil
 	}
-	return r.c.Recv()
+	var n int
+	if s.b == nil {
+		if n, err = s.c.Read(s.small[:]); n > 0 {
+			s.b = s.small[:n]
+		}
+	} else {
+		rx := rxPool.Get().(*[rxSize]byte)
+		n, err = s.c.Read(rx[:])
+		s.push(rx[:n])
+		rxPool.Put(rx)
+	}
+	if n == 0 && err == nil {
+		err = io.ErrNoProgress
+	}
+	return n > 0, err
+}
+
+// nextFrame splits the first length-prefixed frame off b: it returns the
+// frame's body, aliasing b, and the bytes the frame spans, or n == 0 when
+// b does not yet hold a whole frame.
+func nextFrame(b []byte) (body []byte, n int, err error) {
+	if len(b) < 4 {
+		return nil, 0, nil
+	}
+	fn := binary.LittleEndian.Uint32(b)
+	if fn > maxNetFrame {
+		return nil, 0, errFrameTooLarge
+	}
+	end := 4 + int(fn)
+	if len(b) < end {
+		return nil, 0, nil
+	}
+	return b[4:end], end, nil
+}
+
+// cut returns the first whole frame among the held bytes, copied into a
+// framePool buffer, or nil when there is none.
+func (s *splitter) cut() ([]byte, error) {
+	body, n, err := nextFrame(s.bytes())
+	if n == 0 {
+		return nil, err
+	}
+	f := getFrameBuf(len(body))
+	copy(f, body)
+	s.consume(n)
+	return f, nil
 }
 
 // drive runs one connection end on the calling goroutine until a read
@@ -103,10 +224,10 @@ func (r recvReader) next(wait bool) ([]byte, error) {
 // and once more before drive returns, so that a final response (the error
 // frame ahead of a poison close, or answers in flight at an orderly
 // shutdown) still leaves.
-func drive(r frameReader, onFrame func([]byte) bool, idle func() bool) {
+func drive(in *splitter, onFrame func([]byte) bool, idle func() bool) {
 	wait := false
 	for {
-		f, err := r.next(wait)
+		f, err := in.next(wait)
 		if err != nil {
 			break
 		}

@@ -105,12 +105,12 @@ var remoteFuzz struct {
 	mu    sync.Mutex
 	lt    *LoopbackTransport
 	front *Node
-	c     Conn
+	c     *rawConn
 }
 
 // remoteFuzzConn returns the live hostile connection, redialing (and
 // re-handshaking) when a previous input got the connection torn down.
-func remoteFuzzConn(t *testing.T) Conn {
+func remoteFuzzConn(t *testing.T) *rawConn {
 	remoteFuzz.once.Do(func() {
 		front, store := bootKernelRaw(), bootKernelRaw()
 		if front == nil || store == nil {
@@ -152,10 +152,11 @@ func remoteFuzzConn(t *testing.T) Conn {
 		}
 		// The handshake must be genuine — the server only talks to an
 		// attested peer — but everything after it is raw frame I/O.
-		if _, err := remoteFuzz.front.handshakeClient(c); err != nil {
+		p, in, err := remoteFuzz.front.handshakeClient(c)
+		if err != nil {
 			t.Fatalf("handshake: %v", err)
 		}
-		remoteFuzz.c = c
+		remoteFuzz.c = &rawConn{Conn: c, p: p, in: in}
 	}
 	return remoteFuzz.c
 }
@@ -209,11 +210,11 @@ func FuzzRemoteSubmitFrame(f *testing.F) {
 		// id bytes may run into the payload; mirror that here.
 		wantID, n := binary.Uvarint(frame[1:])
 		idOK := n > 0
-		if err := c.Send(frame); err != nil {
+		if err := c.send(frame); err != nil {
 			remoteFuzz.c = nil // conn died earlier; next input redials
 			return
 		}
-		resp, err := c.Recv()
+		resp, err := c.recv()
 		if err != nil {
 			// The server closed the connection: legal only when the request
 			// id was undecodable.

@@ -6,7 +6,7 @@ import (
 )
 
 // LoopbackTransport is the in-memory transport backend: nodes in one
-// process connect by name, frames travel over an in-memory ring, and the
+// process connect by name, bytes travel over an in-memory pipe, and the
 // full handshake/codec/ingress path runs exactly as it would over TCP.
 // Tests and single-process experiments use it; nothing about the
 // attestation plane knows the difference.
@@ -105,112 +105,100 @@ func (l *loopListener) Close() error {
 
 func (l *loopListener) Addr() string { return l.addr }
 
-// loopKeepFrames bounds the queue backing array retained after a
-// direction fully drains, so an idle connection pins a few slots of slice
-// header, not a deep ring.
-const loopKeepFrames = 64
-
-// loopState is the shared state of one loopback pipe: two frame queues
-// (one per direction), the condvars their readers wait on, and the closed
-// flag. mu is a leaf lock.
+// loopState is the shared state of one loopback pipe: a byte queue per
+// direction, the condvars their readers wait on, and the closed flag. mu
+// nests only the frame-pool lock, which the queues take their buffers from.
+//
+// A Read that finds its direction empty lends the queue its own buffer
+// while it waits, marked by a negative off: a write that fits lands in it
+// directly, so a lockstep message crosses with one copy and no queue
+// buffer, and one that does not fit moves what was lent into a queue
+// buffer first.
 type loopState struct {
 	mu     sync.Mutex
-	cond   [2]*sync.Cond
-	q      [2][][]byte
-	head   [2]int
+	cond   [2]sync.Cond
+	q      [2]byteQueue
 	closed bool
+	ends   [2]loopConn
 }
 
-// popLocked removes the next frame of direction i, resetting (and, above
-// the retention bound, releasing) the backing array on full drain.
-func (st *loopState) popLocked(i int) ([]byte, bool) {
-	if st.head[i] == len(st.q[i]) {
-		return nil, false
-	}
-	f := st.q[i][st.head[i]]
-	st.q[i][st.head[i]] = nil
-	st.head[i]++
-	if st.head[i] == len(st.q[i]) {
-		if cap(st.q[i]) > loopKeepFrames {
-			st.q[i] = nil
-		} else {
-			st.q[i] = st.q[i][:0]
-		}
-		st.head[i] = 0
-	}
-	return f, true
-}
-
-// loopConn is one end of an in-memory duplex pipe. Closing either end
-// unblocks both. It is its own frameReader: the connection's goroutine
-// takes frames straight off the pipe's queue and waits on its condvar, and
-// since the queues grow on demand and shrink when drained, an idle pipe
-// holds almost no memory.
+// loopConn is one end of an in-memory duplex byte pipe. Closing either end
+// unblocks both. A direction holds a buffer only while it holds unread
+// bytes, so an idle pipe holds none.
 type loopConn struct {
-	st   *loopState
-	w, r int // this end writes st.q[w], reads st.q[r]
+	st *loopState
+	w  int // this end writes st.q[w] and reads st.q[1-w]
 }
 
 func newLoopPipe() (Conn, Conn) {
 	st := &loopState{}
-	st.cond[0] = sync.NewCond(&st.mu)
-	st.cond[1] = sync.NewCond(&st.mu)
-	return &loopConn{st: st, w: 0, r: 1}, &loopConn{st: st, w: 1, r: 0}
+	st.cond[0].L = &st.mu
+	st.cond[1].L = &st.mu
+	st.ends = [2]loopConn{{st, 0}, {st, 1}}
+	return &st.ends[0], &st.ends[1]
 }
 
-// Send never blocks: the queue grows on demand. A dialed peer's in-flight
+// Write never blocks: the queue grows on demand. A dialed peer's in-flight
 // window bounds how deep the two ends of a Node connection make it, but
 // nothing bounds a peer that sends requests and never reads its responses
 // (DESIGN.md, "Backpressure").
-func (c *loopConn) Send(frame []byte) error {
-	if len(frame) > maxNetFrame {
-		return errors.New("kernel: frame exceeds maximum size")
-	}
+func (c *loopConn) Write(p []byte) (int, error) {
 	st := c.st
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.closed {
-		st.mu.Unlock()
-		return errLoopClosed
+		return 0, errLoopClosed
 	}
-	st.q[c.w] = append(st.q[c.w], frame)
+	q := &st.q[c.w]
+	if q.off < 0 && len(q.b)+len(p) <= cap(q.b) {
+		q.b = append(q.b, p...)
+	} else {
+		if q.off < 0 {
+			lent := q.b
+			q.b, q.off = nil, 0
+			q.push(lent)
+		}
+		q.push(p)
+	}
 	st.cond[c.w].Signal()
-	st.mu.Unlock()
-	return nil
+	return len(p), nil
 }
 
-// Recv blocks for one frame. Frames queued before a close still drain, so
-// an orderly shutdown delivers responses already in flight.
-func (c *loopConn) Recv() ([]byte, error) { return c.next(true) }
-
-// next is the frameReader side of Recv: with wait false it returns
-// (nil, nil) instead of blocking on an empty queue.
-func (c *loopConn) next(wait bool) ([]byte, error) {
-	st := c.st
+// Read blocks until the pipe holds bytes for this end or closes. Bytes
+// written before a close still drain, so an orderly shutdown delivers
+// responses already in flight.
+func (c *loopConn) Read(p []byte) (int, error) {
+	st, r := c.st, 1-c.w
+	q := &st.q[r]
 	st.mu.Lock()
-	for wait && st.head[c.r] == len(st.q[c.r]) && !st.closed {
-		st.cond[c.r].Wait()
+	defer st.mu.Unlock()
+	if q.b == nil && !st.closed {
+		q.b, q.off = p[:0], -1
+		for q.off < 0 && len(q.b) == 0 && !st.closed {
+			st.cond[r].Wait()
+		}
+		if q.off < 0 {
+			n := len(q.b)
+			q.b, q.off = nil, 0
+			if n > 0 {
+				return n, nil
+			}
+		}
 	}
-	f, ok := st.popLocked(c.r)
-	closed := st.closed
-	st.mu.Unlock()
-	if ok {
-		return f, nil
+	if q.b == nil {
+		return 0, errLoopClosed
 	}
-	if closed {
-		return nil, errLoopClosed
-	}
-	return nil, nil
+	n := copy(p, q.bytes())
+	q.consume(n)
+	return n, nil
 }
 
 func (c *loopConn) Close() error {
 	st := c.st
 	st.mu.Lock()
-	already := st.closed
+	defer st.mu.Unlock()
 	st.closed = true
-	if !already {
-		st.cond[0].Broadcast()
-		st.cond[1].Broadcast()
-	}
-	st.mu.Unlock()
+	st.cond[0].Broadcast()
+	st.cond[1].Broadcast()
 	return nil
 }

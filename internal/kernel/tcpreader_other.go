@@ -2,6 +2,12 @@
 
 package kernel
 
-// newTCPReader reports that the raw reader does not build on this
-// platform: TCP connection ends are read through tcpConn.Recv.
-func newTCPReader(*tcpConn, *kernelMetrics, uint64) frameReader { return nil }
+// rawReader does not build on this platform: every splitter reads its
+// Conn through Read.
+type rawReader struct{}
+
+func newRawReader(Conn, *kernelMetrics, uint64) *rawReader { return nil }
+
+// fill reads s's connection once, if it may wait, and holds what it read;
+// ok reports that it read bytes.
+func (s *splitter) fill(wait bool) (ok bool, err error) { return s.readConn(wait) }

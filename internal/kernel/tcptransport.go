@@ -1,16 +1,15 @@
 package kernel
 
 import (
-	"encoding/binary"
 	"errors"
-	"io"
 	"net"
-	"sync"
+	"syscall"
 	"time"
 )
 
-// TCPTransport is the wire-level transport backend: frames are
-// length-prefixed (4-byte little-endian) over a TCP stream. The zero value
+// TCPTransport is the wire-level transport backend: a connection is a TCP
+// stream, carrying frames behind 4-byte little-endian length prefixes
+// (written by the egress combiner, cut by the splitter). The zero value
 // is ready to use with default timeouts. The attestation-plane handshake
 // provides identity and proof of key possession; the stream itself is
 // neither encrypted nor authenticated per-frame, which matches the paper's
@@ -97,25 +96,21 @@ func (t *tcpListener) Accept() (Conn, error) {
 func (t *tcpListener) Close() error { return t.l.Close() }
 func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 
+// tcpConn is one end of a TCP connection. Its errors pass through tcpErr,
+// and it exposes its socket (SyscallConn) for the raw reader.
 type tcpConn struct {
-	c       net.Conn
-	cfg     TCPTransport
-	sendMu  sync.Mutex
-	recvMu  sync.Mutex
-	lenBuf  [4]byte
-	rlenBuf [4]byte
-	// vec is the reusable writev vector: header and frame go to the kernel
-	// in one writev call instead of two Writes (two syscalls and, with
-	// Nagle off, two packets for every frame).
-	vec [2][]byte
+	c   net.Conn
+	cfg TCPTransport
 }
 
 // tcpErr classifies transport errors: expired deadlines become typed
 // ETIMEDOUT errors (unwrapping to ErrTimeout), everything else passes
-// through.
+// through. The net package returns its errors unwrapped, so a type
+// assertion finds them. Peer.Close waits for the connection's parked
+// reader to run through here, and errors.As made that wait about 12 µs
+// longer.
 func tcpErr(op string, err error) error {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		return abiErr(ETIMEDOUT, op, err.Error())
 	}
 	return err
@@ -130,71 +125,28 @@ func (t *tcpConn) SetDeadline(d time.Time) error { return t.c.SetDeadline(d) }
 // layer (connDeadline interface).
 func (t *tcpConn) HandshakeTimeout() time.Duration { return t.cfg.handshakeTimeout() }
 
-func (t *tcpConn) Send(frame []byte) error {
-	if len(frame) > maxNetFrame {
-		return errors.New("kernel: frame exceeds maximum size")
-	}
-	t.sendMu.Lock()
-	defer t.sendMu.Unlock()
-	binary.LittleEndian.PutUint32(t.lenBuf[:], uint32(len(frame)))
-	t.vec[0] = t.lenBuf[:]
-	t.vec[1] = frame
-	bufs := net.Buffers(t.vec[:])
-	if _, err := bufs.WriteTo(t.c); err != nil {
-		return tcpErr("send", err)
-	}
-	return nil
+// SyscallConn exposes the socket to the raw reader (tcpreader_linux.go).
+// The transport builds a tcpConn only around a *net.TCPConn.
+func (t *tcpConn) SyscallConn() (syscall.RawConn, error) {
+	return t.c.(syscall.Conn).SyscallConn()
 }
 
-// SendRaw writes a run of already-length-prefixed frames in one Write —
-// the egress combiner's contiguous-mode flush (rawWriter interface). The
-// caller owns the framing; this is a single ordered write on the stream,
-// serialized with Send under the same lock.
-func (t *tcpConn) SendRaw(p []byte) error {
-	t.sendMu.Lock()
-	defer t.sendMu.Unlock()
-	if _, err := t.c.Write(p); err != nil {
-		return tcpErr("send", err)
+func (t *tcpConn) Read(p []byte) (int, error) {
+	n, err := t.c.Read(p)
+	if err != nil {
+		err = tcpErr("recv", err)
 	}
-	return nil
+	return n, err
 }
 
-// Recv blocks for one frame. Post-handshake ingress comes through here
-// only where the raw reader does not build: on Linux the connection's
-// goroutine reads the socket directly (tcpreader_linux.go), bypassing
-// recvMu — safe because blocking Recv is then used only during the
-// handshake, strictly before that goroutine starts reading.
-func (t *tcpConn) Recv() ([]byte, error) {
-	t.recvMu.Lock()
-	defer t.recvMu.Unlock()
-	if _, err := io.ReadFull(t.c, t.rlenBuf[:]); err != nil {
-		return nil, tcpErr("recv", err)
+// Write writes a run of length-prefixed frames in one write — an egress
+// flush.
+func (t *tcpConn) Write(p []byte) (int, error) {
+	n, err := t.c.Write(p)
+	if err != nil {
+		err = tcpErr("send", err)
 	}
-	n := int(binary.LittleEndian.Uint32(t.rlenBuf[:]))
-	if n > maxNetFrame {
-		return nil, errFrameTooLarge
-	}
-	// The buffer grows as the body arrives, doubling, instead of trusting
-	// the prefix: the handshake reads the hello through here before the
-	// peer is authenticated, and 4 bytes must not pin a maximal frame.
-	buf := make([]byte, min(n, recvChunk))
-	off := 0
-	for {
-		if _, err := io.ReadFull(t.c, buf[off:]); err != nil {
-			if err == io.EOF && off > 0 {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, tcpErr("recv", err)
-		}
-		if len(buf) == n {
-			return buf, nil
-		}
-		off = len(buf)
-		buf = append(buf, make([]byte, min(n-off, off))...)
-	}
+	return n, err
 }
-
-// recvChunk is Recv's first buffer size.
-const recvChunk = 16 << 10
 
 func (t *tcpConn) Close() error { return t.c.Close() }

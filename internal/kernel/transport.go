@@ -47,14 +47,16 @@
 // ordering semantics are those of the lockstep protocol — only the waiting
 // overlaps.
 //
-// Runtime. Each established connection end runs on one goroutine of its
-// own (drive, driver.go): the serving side runs its handlers inline, and a
+// Runtime. A Conn is a byte stream. Each connection end reads it through
+// one splitter, which the handshake reads through first, and writes it
+// through one egress combiner (egress.go), which the handshake writes
+// through first. Each established end runs on one goroutine of its own
+// (drive, driver.go): the serving side runs its handlers inline, and a
 // dialed peer's goroutine delivers responses to the callers waiting on
 // them. On Linux a TCP end reads its socket directly and waits in the
 // runtime netpoller (tcpreader_linux.go). Frames arrive in framePool
 // buffers, request frames whose payload cannot escape the exchange go back
-// to the pool after the response is staged, and outbound frames leave
-// through per-connection egress combiners (egress.go): the responses staged
+// to the pool after the response is staged, and the responses staged
 // during one read burst flush as a single write when the burst ends.
 //
 // Backpressure. The in-flight window is the only bound on a connection.
@@ -119,12 +121,14 @@ var (
 	errOversized = errors.New("frame exceeds maximum size")
 )
 
-// Conn is a reliable, ordered, framed byte pipe between two nodes. Send
-// transfers ownership of the frame; Recv returns frames owned by the
-// caller. Close unblocks both directions on both ends.
+// Conn is a reliable, ordered byte stream between two nodes. Read reads
+// into the caller's buffer and waits until it can return at least one
+// byte; Write writes a run of frames the caller has already length-prefixed
+// (4-byte little-endian), whole or not at all. Close unblocks both
+// directions on both ends.
 type Conn interface {
-	Send(frame []byte) error
-	Recv() ([]byte, error)
+	Read(p []byte) (int, error)
+	Write(p []byte) (int, error)
 	Close() error
 }
 
@@ -244,8 +248,11 @@ func (n *Node) Serve(l Listener) {
 				// cannot stall further accepts.
 				go func(c Conn) {
 					defer n.wg.Done()
-					c.Send(appendErrFrame(nil, 0, "accept",
+					eg := newEgress(c, n.k.metrics, 0)
+					eg.commit(appendErrFrame(eg.begin(), 0, "accept",
 						abiErr(EAGAIN, "accept", "node connection limit reached")))
+					eg.flush()
+					eg.trim(0)
 					c.Close()
 				}(c)
 				continue
@@ -572,7 +579,7 @@ func (n *Node) Dial(t Transport, addr string) (*Peer, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := n.handshakeClient(c)
+	p, in, err := n.handshakeClient(c)
 	if err != nil {
 		if errors.Is(err, ErrTimeout) {
 			n.k.metrics.add(0, mNetTimeouts, 1)
@@ -592,7 +599,7 @@ func (n *Node) Dial(t Transport, addr string) (*Peer, error) {
 	n.k.metrics.netConns.Add(1)
 	go func() {
 		defer n.wg.Done()
-		drive(readerFor(c, n.k.metrics, p.mkey), p.onFrame, nil)
+		drive(in, p.onFrame, nil)
 		p.fail()
 		n.mu.Lock()
 		delete(n.peers, p)
@@ -602,85 +609,93 @@ func (n *Node) Dial(t Transport, addr string) (*Peer, error) {
 	return p, nil
 }
 
-func (n *Node) handshakeClient(c Conn) (*Peer, error) {
+// handshakeClient runs the dialer's side of the handshake on c and returns
+// the verified peer together with the splitter the handshake read through,
+// which the peer's goroutine takes over: bytes that arrived behind the
+// hello-ok are already in it.
+func (n *Node) handshakeClient(c Conn) (*Peer, *splitter, error) {
 	defer beginHandshake(c)()
 	self, err := n.localIdentity()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	nonce := make([]byte, 24)
 	if _, err := rand.Read(nonce); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ephPub := eph.PublicKey().Bytes()
-	frame := []byte{fHello, transportVersion}
-	frame = appendIdentity(frame, self)
-	frame = appendNetBytes(frame, nonce)
-	frame = appendNetBytes(frame, ephPub)
-	if err := c.Send(frame); err != nil {
+	mkey := connCounter.Add(1)
+	in := newSplitter(c, n.k.metrics, mkey)
+	eg := newEgress(c, n.k.metrics, mkey)
+	b := append(eg.begin(), fHello, transportVersion)
+	b = appendIdentity(b, self)
+	b = appendNetBytes(b, nonce)
+	eg.commit(appendNetBytes(b, ephPub))
+	if err := eg.flush(); err != nil {
 		// A shedding node queues its rejection and closes, which can beat
 		// our hello: report the rejection it left behind, if there is one.
-		if resp, rerr := c.Recv(); rerr == nil && len(resp) > 0 && resp[0] == fErr {
-			return nil, rejectErr(resp)
+		if resp, rerr := in.next(true); rerr == nil && len(resp) > 0 && resp[0] == fErr {
+			return nil, nil, rejectErr(resp)
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	resp, err := c.Recv()
+	resp, err := in.next(true)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	// Everything kept from the hello-ok is copied out of it.
+	defer putFrameBuf(resp)
 	if len(resp) > 0 && resp[0] == fErr {
-		return nil, rejectErr(resp)
+		return nil, nil, rejectErr(resp)
 	}
 	if len(resp) == 0 || resp[0] != fHelloOK {
-		return nil, ErrBadPeer
+		return nil, nil, ErrBadPeer
 	}
 	r := &netCursor{buf: resp[1:]}
 	peer, err := n.verifyIdentity(r)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	srvNonce, ok := r.bytes()
 	if !ok {
-		return nil, ErrBadPeer
+		return nil, nil, ErrBadPeer
 	}
 	srvEphRaw, ok := r.bytes()
 	if !ok {
-		return nil, ErrBadPeer
+		return nil, nil, ErrBadPeer
 	}
 	sig, ok := r.bytes()
 	if !ok || !r.done() {
-		return nil, ErrBadPeer
+		return nil, nil, ErrBadPeer
 	}
 	if err := verifyHello(peer.nkPub, "server", nonce, ephPub, srvEphRaw, sig); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	srvEph, err := ecdh.X25519().NewPublicKey(srvEphRaw)
 	if err != nil {
-		return nil, ErrBadPeer
+		return nil, nil, ErrBadPeer
 	}
 	shared, err := eph.ECDH(srvEph)
 	if err != nil {
-		return nil, ErrBadPeer
+		return nil, nil, ErrBadPeer
 	}
 	ackSig := signHello(n.k.NK, "client", srvNonce, ephPub, srvEphRaw)
-	ack := []byte{fHelloAck}
-	ack = appendNetBytes(ack, ackSig)
-	if err := c.Send(ack); err != nil {
-		return nil, err
+	eg.commit(appendNetBytes(append(eg.begin(), fHelloAck), ackSig))
+	if err := eg.flush(); err != nil {
+		return nil, nil, err
 	}
+	eg.trim(0)
 	sessKey := deriveSessionKey(shared, nonce, srvNonce)
-	mkey := connCounter.Add(1)
 	return &Peer{
 		n: n, c: c,
 		enc:      nal.NewWireEncoder(),
 		certIdx:  map[string]uint64{},
 		attested: newLRUTable[bool](n.cfg.ReattestCap),
-		eg:       newEgress(c, n.k.metrics, mkey),
+		eg:       eg,
 		reTag:    newReTagger(sessKey),
 		pending:  map[uint64]chan netResp{},
 		sessKey:  sessKey,
@@ -689,7 +704,7 @@ func (n *Node) handshakeClient(c Conn) (*Peer, error) {
 		ekFP:     peer.ekFP,
 		bootID:   peer.bootID,
 		mkey:     mkey,
-	}, nil
+	}, in, nil
 }
 
 // rejectErr decodes a pre-handshake fErr frame: the node shed our
@@ -861,11 +876,11 @@ func (p *Peer) flushLocked() error {
 	p.flushing = true
 	var err error
 	for err == nil && p.eg.pend > 0 {
-		buf, frames, n := p.eg.take()
+		buf, n := p.eg.take()
 		p.sendMu.Unlock()
-		werr := p.eg.write(buf, frames, n)
+		werr := p.eg.write(buf, n)
 		p.sendMu.Lock()
-		p.eg.release(buf, frames)
+		p.eg.release(buf)
 		err = werr
 	}
 	p.flushing = false
@@ -1265,23 +1280,25 @@ type serverConn struct {
 // ends. The Serve accept loop did wg.Add(1); serveConn pairs it.
 func (n *Node) serveConn(c Conn) {
 	defer n.wg.Done()
+	mkey := connCounter.Add(1)
 	sc := &serverConn{
 		n: n, k: n.k, c: c,
 		dec:     nal.NewWireDecoder(),
 		proxies: map[int]*Process{},
 		xferFPs: newLRUTable[xferEntry](n.cfg.ReattestCap),
-		mkey:    connCounter.Add(1),
+		eg:      newEgress(c, n.k.metrics, mkey),
+		mkey:    mkey,
 	}
 	defer sc.teardown()
-	if err := sc.handshake(); err != nil {
+	in := newSplitter(c, n.k.metrics, mkey)
+	if err := sc.handshake(in); err != nil {
 		if errors.Is(err, ErrTimeout) {
 			sc.k.metrics.add(sc.mkey, mNetTimeouts, 1)
 		}
 		return
 	}
-	sc.eg = newEgress(c, n.k.metrics, sc.mkey)
 	sc.reTag = newReTagger(sc.sessKey)
-	drive(readerFor(c, n.k.metrics, sc.mkey), sc.onFrame, sc.idle)
+	drive(in, sc.onFrame, sc.idle)
 }
 
 // teardown exits every proxy this connection created and unregisters the
@@ -1309,7 +1326,7 @@ func (sc *serverConn) teardown() {
 //nexus:noalloc
 func (sc *serverConn) idle() bool {
 	err := sc.eg.flush()
-	sc.eg.trim()
+	sc.eg.trim(egressParkCap)
 	return err == nil
 }
 
@@ -1365,12 +1382,16 @@ func (sc *serverConn) onFrame(frame []byte) bool {
 	return true
 }
 
-func (sc *serverConn) handshake() error {
+// handshake runs the accepting side of the handshake, reading through in
+// and writing through the connection's egress combiner.
+func (sc *serverConn) handshake(in *splitter) error {
 	defer beginHandshake(sc.c)()
-	frame, err := sc.c.Recv()
+	frame, err := in.next(true)
 	if err != nil {
 		return err
 	}
+	// Everything kept from the hello is copied out of it.
+	defer putFrameBuf(frame)
 	if len(frame) < 2 || frame[0] != fHello || frame[1] != transportVersion {
 		return ErrBadPeer
 	}
@@ -1407,18 +1428,20 @@ func (sc *serverConn) handshake() error {
 	// cliNonce and cliEphRaw alias the hello frame, which lives until the
 	// handshake returns; the digest and session key consume them before.
 	sig := signHello(sc.k.NK, "server", cliNonce, cliEphRaw, ephPub)
-	resp := []byte{fHelloOK}
-	resp = appendIdentity(resp, self)
-	resp = appendNetBytes(resp, nonce)
-	resp = appendNetBytes(resp, ephPub)
-	resp = appendNetBytes(resp, sig)
-	if err := sc.c.Send(resp); err != nil {
+	b := append(sc.eg.begin(), fHelloOK)
+	b = appendIdentity(b, self)
+	b = appendNetBytes(b, nonce)
+	b = appendNetBytes(b, ephPub)
+	sc.eg.commit(appendNetBytes(b, sig))
+	if err := sc.eg.flush(); err != nil {
 		return err
 	}
-	ack, err := sc.c.Recv()
+	sc.eg.trim(0)
+	ack, err := in.next(true)
 	if err != nil {
 		return err
 	}
+	defer putFrameBuf(ack)
 	if len(ack) == 0 || ack[0] != fHelloAck {
 		return ErrBadPeer
 	}

@@ -35,11 +35,13 @@ func withinBound(t *testing.T, d time.Duration, f func()) {
 // WithinBound is withinBound for the external test package.
 var WithinBound = withinBound
 
-// stallTransport is an in-memory transport whose Send blocks while the
-// other end holds more than q unread frames, as a write into a full socket
-// buffer does; with q = 0 a Send returns only once its frame is read. It
-// has one listener. Its connections are a type the runtime does not
-// recognise, so both ends are read through their blocking Recv.
+// stallTransport is an in-memory transport whose Write blocks while the
+// other end holds more than q unread writes, as a write into a full socket
+// buffer does; with q = 0 a Write returns only once its bytes are read. A
+// Read takes bytes of one write at most, so a connection end reads, and
+// answers, one egress flush at a time. It has one listener. Its
+// connections expose no raw descriptor, so both ends are read through
+// their Read.
 type stallTransport struct {
 	q      int
 	accept chan Conn
@@ -85,8 +87,8 @@ func (t *stallTransport) Addr() string { return "stall" }
 type stallPipe struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	unread  [2][][]byte // unread[i]: frames sent toward end i
-	blocked [2]int      // Sends toward end i waiting for it to read
+	unread  [2][][]byte // unread[i]: the unread bytes of each write toward end i
+	blocked [2]int      // Writes toward end i waiting for it to read
 	closed  bool
 }
 
@@ -97,14 +99,14 @@ type stallConn struct {
 	q, self int
 }
 
-func (c *stallConn) Send(f []byte) error {
+func (c *stallConn) Write(b []byte) (int, error) {
 	p, to := c.p, 1-c.self
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return errLoopClosed
+		return 0, errLoopClosed
 	}
-	p.unread[to] = append(p.unread[to], f)
+	p.unread[to] = append(p.unread[to], append([]byte(nil), b...))
 	p.cond.Broadcast()
 	p.blocked[to]++
 	for len(p.unread[to]) > c.q && !p.closed {
@@ -112,12 +114,12 @@ func (c *stallConn) Send(f []byte) error {
 	}
 	p.blocked[to]--
 	if p.closed {
-		return errLoopClosed
+		return 0, errLoopClosed
 	}
-	return nil
+	return len(b), nil
 }
 
-func (c *stallConn) Recv() ([]byte, error) {
+func (c *stallConn) Read(b []byte) (int, error) {
 	p := c.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -125,12 +127,17 @@ func (c *stallConn) Recv() ([]byte, error) {
 		p.cond.Wait()
 	}
 	if p.closed {
-		return nil, errLoopClosed
+		return 0, errLoopClosed
 	}
-	f := p.unread[c.self][0]
-	p.unread[c.self] = p.unread[c.self][1:]
+	w := p.unread[c.self][0]
+	n := copy(b, w)
+	if n == len(w) {
+		p.unread[c.self] = p.unread[c.self][1:]
+	} else {
+		p.unread[c.self][0] = w[n:]
+	}
 	p.cond.Broadcast()
-	return f, nil
+	return n, nil
 }
 
 func (c *stallConn) Close() error {
@@ -141,8 +148,8 @@ func (c *stallConn) Close() error {
 	return nil
 }
 
-// inbound reports the frames waiting for this end to read them and the
-// other end's Sends blocked until it does.
+// inbound reports the writes waiting for this end to read them and the
+// other end's Writes blocked until it does.
 func (c *stallConn) inbound() (unread, blocked int) {
 	c.p.mu.Lock()
 	defer c.p.mu.Unlock()
@@ -201,15 +208,15 @@ func callEcho(front *Kernel, peer *Peer, name string, n int) error {
 	return nil
 }
 
-// sendCounter counts the Sends made through it.
+// sendCounter counts the Writes made through it.
 type sendCounter struct {
 	Conn
 	sends atomic.Int64
 }
 
-func (c *sendCounter) Send(f []byte) error {
+func (c *sendCounter) Write(p []byte) (int, error) {
 	c.sends.Add(1)
-	return c.Conn.Send(f)
+	return c.Conn.Write(p)
 }
 
 // countingTransport wraps every Conn it dials in a sendCounter.
@@ -228,8 +235,8 @@ func (t countingTransport) Dial(addr string) (Conn, error) {
 // delivering them wrote nothing to the connection: the peer's goroutine
 // only reads, so it keeps draining a server that is blocked writing.
 func TestPeerReaderNeverSends(t *testing.T) {
-	c, p, _, _ := rawPair(t, countingTransport{NewLoopbackTransport()}, TransportConfig{}, TransportConfig{})
-	sc := c.(*sendCounter)
+	c, _, _ := rawPair(t, countingTransport{NewLoopbackTransport()}, "store", TransportConfig{}, TransportConfig{})
+	sc, p := c.Conn.(*sendCounter), c.p
 	handshake := sc.sends.Load()
 	for i := 0; i < 100; i++ {
 		id, ch, err := p.begin("probe")
@@ -243,7 +250,7 @@ func TestPeerReaderNeverSends(t *testing.T) {
 		p.putChan(ch)
 	}
 	if n := sc.sends.Load() - handshake; n != 0 {
-		t.Fatalf("the peer's frame handler called Send %d times while delivering 100 responses", n)
+		t.Fatalf("the peer's frame handler wrote %d times while delivering 100 responses", n)
 	}
 }
 
@@ -251,7 +258,8 @@ func TestPeerReaderNeverSends(t *testing.T) {
 // begin, the next fails with EAGAIN, and an aborted request and a
 // delivered response each free exactly one slot.
 func TestInflightWindow(t *testing.T) {
-	_, p, _, _ := rawPair(t, NewLoopbackTransport(), TransportConfig{}, TransportConfig{})
+	c, _, _ := rawPair(t, NewLoopbackTransport(), "store", TransportConfig{}, TransportConfig{})
+	p := c.p
 	ids := make([]uint64, maxInflight)
 	chans := make([]chan netResp, maxInflight)
 	for i := range ids {
@@ -288,7 +296,7 @@ func TestInflightWindow(t *testing.T) {
 }
 
 // TestBlockedWritesNoDeadlock drives one Peer with several callers over a
-// transport whose Send blocks while the other end holds q unread frames.
+// transport whose Write blocks while the other end holds q unread writes.
 // The server's goroutine blocks writing responses whenever the peer's
 // goroutine falls behind; since the peer's goroutine never writes, it
 // always drains them, and every call returns.
@@ -341,17 +349,10 @@ func TestSlowConsumerStallsOnlyItsStream(t *testing.T) {
 	}
 	base := nStore.k.Metrics().NetLiveConns
 
-	raw, err := tr.Dial("store")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	if _, err := nFront.handshakeClient(raw); err != nil {
-		t.Fatal(err)
-	}
+	raw := dialRaw(t, nFront, tr, "store")
 	// Pipelined requests are answered in arrival order.
 	for id := uint64(1); id <= q; id++ {
-		if err := raw.Send(rawSubmit(id)); err != nil {
+		if err := raw.send(rawSubmit(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -362,12 +363,12 @@ func TestSlowConsumerStallsOnlyItsStream(t *testing.T) {
 	}
 	// From here on the client never reads.
 	for id := uint64(q + 1); id <= 2*q+1; id++ {
-		if err := raw.Send(rawSubmit(id)); err != nil {
+		if err := raw.send(rawSubmit(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	stalled := func() bool {
-		unread, blocked := raw.(*stallConn).inbound()
+		unread, blocked := raw.Conn.(*stallConn).inbound()
 		return unread == q+1 && blocked == 1
 	}
 	waitUntil(t, "the server's write of response q+1 to block", stalled)

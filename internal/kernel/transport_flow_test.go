@@ -20,34 +20,54 @@ func bootK(t *testing.T) *Kernel {
 	return k
 }
 
-// rawPair boots two nodes with the given configs, serves store at "store"
-// over lt (a loopback transport, or one wrapping it), and returns an
-// attested raw connection (handshake completed, frames under test
-// control) plus the dialing node's Peer.
-func rawPair(t *testing.T, lt Transport, cfgFront, cfgStore TransportConfig) (Conn, *Peer, *Node, *Node) {
+// rawConn is an attested connection under test control: no goroutine
+// drives it, frames go out through the dialing Peer's egress combiner and
+// come in through the splitter its handshake read with.
+type rawConn struct {
+	Conn
+	p  *Peer
+	in *splitter
+}
+
+// send writes one frame, taking ownership of it.
+func (c *rawConn) send(frame []byte) error { return c.p.sendOwned(frame) }
+
+// recv reads the next frame.
+func (c *rawConn) recv() ([]byte, error) { return c.in.next(true) }
+
+// dialRaw dials addr over tr and runs nFront's side of the handshake on
+// the connection, which it closes when the test ends.
+func dialRaw(t *testing.T, nFront *Node, tr Transport, addr string) *rawConn {
+	t.Helper()
+	c, err := tr.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	p, in, err := nFront.handshakeClient(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &rawConn{Conn: c, p: p, in: in}
+}
+
+// rawPair boots two nodes with the given configs, serves store at addr
+// over tr, and returns an attested raw connection to it plus both nodes.
+func rawPair(t *testing.T, tr Transport, addr string, cfgFront, cfgStore TransportConfig) (*rawConn, *Node, *Node) {
 	t.Helper()
 	front, store := bootK(t), bootK(t)
 	nStore := NewNodeWithConfig(store, cfgStore)
-	l, err := lt.Listen("store")
+	l, err := tr.Listen(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nStore.Serve(l)
 	nFront := NewNodeWithConfig(front, cfgFront)
-	c, err := lt.Dial("store")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := nFront.handshakeClient(c)
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() {
-		c.Close()
 		nFront.Close()
 		nStore.Close()
 	})
-	return c, p, nFront, nStore
+	return dialRaw(t, nFront, tr, l.Addr()), nFront, nStore
 }
 
 // rawSubmit frames a minimal fSubmit carrying only a request id: the server
@@ -59,9 +79,9 @@ func rawSubmit(id uint64) []byte {
 
 // recvResp reads the next frame, which must be an fErr response, and
 // returns the echoed request id.
-func recvResp(t *testing.T, c Conn) (uint64, error) {
+func recvResp(t *testing.T, c *rawConn) (uint64, error) {
 	t.Helper()
-	resp, err := c.Recv()
+	resp, err := c.recv()
 	if err != nil {
 		return 0, err
 	}
@@ -117,18 +137,20 @@ func TestLRUTable(t *testing.T) {
 // re-transfer of the evicted label must fall back to the cold path (full
 // certificate) transparently — an eviction costs one re-crossing, never an
 // error.
-func TestReattestTableBounded(t *testing.T) { testReattestTableBounded(t, NewLoopbackTransport()) }
+func TestReattestTableBounded(t *testing.T) {
+	testReattestTableBounded(t, NewLoopbackTransport(), "store")
+}
 
-func testReattestTableBounded(t *testing.T, lt Transport) {
+func testReattestTableBounded(t *testing.T, lt Transport, addr string) {
 	front, store := bootK(t), bootK(t)
 	nStore := NewNodeWithConfig(store, TransportConfig{ReattestCap: 2})
-	l, err := lt.Listen("store")
+	l, err := lt.Listen(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nStore.Serve(l)
 	nFront := NewNode(front)
-	peer, err := nFront.Dial(lt, "store")
+	peer, err := nFront.Dial(lt, l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +189,7 @@ func testReattestTableBounded(t *testing.T, lt Transport) {
 	// And a bounded client: cap 2 on the dialing side keeps the client
 	// table at 2 across 3 transfers.
 	nFront2 := NewNodeWithConfig(front, TransportConfig{ReattestCap: 2})
-	peer2, err := nFront2.Dial(lt, "store")
+	peer2, err := nFront2.Dial(lt, l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,19 +256,120 @@ func TestShedLoad(t *testing.T) {
 
 // TestShedRejectionBeforeHello pins the shed race TestShedLoad hits only
 // rarely: the shedding node has queued its EAGAIN frame and closed before
-// the dialer's hello goes out, so the hello's Send fails — and the dialer
-// must still report the typed rejection, not the closed pipe.
+// the dialer's hello goes out, so the hello's write fails — and the dialer
+// must still read the typed rejection through its splitter and report it,
+// not the closed pipe.
 func TestShedRejectionBeforeHello(t *testing.T) {
 	n := NewNode(bootK(t))
 	defer n.Close()
 	cli, srv := newLoopPipe()
-	if err := srv.Send(appendErrFrame(nil, 0, "accept",
-		abiErr(EAGAIN, "accept", "node connection limit reached"))); err != nil {
+	eg := newEgress(srv, n.k.metrics, 0)
+	eg.commit(appendErrFrame(eg.begin(), 0, "accept",
+		abiErr(EAGAIN, "accept", "node connection limit reached")))
+	if err := eg.flush(); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if _, err := n.handshakeClient(cli); !errors.Is(err, ErrAgain) {
+	if _, _, err := n.handshakeClient(cli); !errors.Is(err, ErrAgain) {
 		t.Fatalf("handshake against a shed connection: got %v, want EAGAIN", err)
+	}
+}
+
+// joinConn holds its second Write, a dialer's hello-ack, back and writes
+// it together with its third, the first request, in one Write.
+type joinConn struct {
+	Conn
+	writes int
+	held   []byte
+}
+
+func (c *joinConn) Write(p []byte) (int, error) {
+	c.writes++
+	switch c.writes {
+	case 2:
+		c.held = append([]byte(nil), p...)
+		return len(p), nil
+	case 3:
+		if _, err := c.Conn.Write(append(c.held, p...)); err != nil {
+			return 0, err
+		}
+		return len(p), nil
+	}
+	return c.Conn.Write(p)
+}
+
+// TestHandshakeHandOff: the dialer's hello-ack and its first request
+// arrive in one write, so the accepting end's handshake reads the request
+// along with the ack. The server must answer it: drive takes over the
+// splitter the handshake read through, and a second reader built after
+// the handshake would drop the held request and never answer. The ack
+// (70 bytes with its prefix) is longer than smallRead, so over loopback
+// too the read that completes it also takes the request.
+func TestHandshakeHandOff(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   Transport
+		addr string
+	}{
+		{"loopback", NewLoopbackTransport(), "store"},
+		{"tcp", TCPTransport{}, "127.0.0.1:0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nStore := NewNode(bootK(t))
+			l, err := tc.tr.Listen(tc.addr)
+			if err != nil {
+				t.Skipf("listen: %v", err)
+			}
+			nStore.Serve(l)
+			nFront := NewNode(bootK(t))
+			defer func() {
+				nFront.Close()
+				nStore.Close()
+			}()
+			c, err := tc.tr.Dial(l.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			p, in, err := nFront.handshakeClient(&joinConn{Conn: c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.sendOwned(rawSubmit(1)); err != nil {
+				t.Fatal(err)
+			}
+			var id uint64
+			withinBound(t, 10*time.Second, func() { id, err = recvResp(t, &rawConn{Conn: c, p: p, in: in}) })
+			if err != nil || id != 1 {
+				t.Fatalf("response echoes id %d (err %v), want 1", id, err)
+			}
+		})
+	}
+}
+
+// TestLoopbackDrainedHoldsNoBuffer: after a request and its response, a
+// loopback pipe whose two directions are drained holds no byte buffer of
+// its own — the serving end's waiting Read has lent it its splitter's —
+// and neither does the dialer's splitter.
+func TestLoopbackDrainedHoldsNoBuffer(t *testing.T) {
+	c, _, _ := rawPair(t, NewLoopbackTransport(), "store", TransportConfig{}, TransportConfig{})
+	if err := c.send(rawSubmit(1)); err != nil {
+		t.Fatal(err)
+	}
+	if id, err := recvResp(t, c); err != nil || id != 1 {
+		t.Fatalf("response echoes id %d (err %v), want 1", id, err)
+	}
+	st := c.Conn.(*loopConn).st
+	st.mu.Lock()
+	q := st.q
+	st.mu.Unlock()
+	for i := range q {
+		if q[i].b != nil && (q[i].off >= 0 || len(q[i].b) != 0) {
+			t.Fatalf("drained direction %d holds a %d-byte buffer", i, cap(q[i].b))
+		}
+	}
+	if c.in.b != nil {
+		t.Fatalf("an idle splitter holds a %d-byte buffer", cap(c.in.b))
 	}
 }
 

@@ -7,23 +7,23 @@ import (
 	"testing"
 )
 
-// Reader parity: the transport's protocol semantics — poison-on-desync,
+// Transport parity: the transport's protocol semantics — poison-on-desync,
 // re-attestation bounding, concurrent teardown — must not depend on which
-// reader feeds a connection end its frames. Loopback and Linux TCP ends
-// have readers of their own; every other Conn, a third-party transport's
-// or TCP's on other platforms, is read through its blocking Recv and
-// written frame by frame. This suite re-runs the core semantic tests over
-// a transport whose connections the runtime does not recognise, so that
-// path keeps passing the same gauntlet on Linux CI.
+// read feeds a connection end's splitter. A Linux TCP end reads its socket
+// directly; every other Conn, loopback's, a third-party transport's or
+// TCP's on other platforms, is read through its Read. This suite runs the
+// core semantic tests over loopback, over TCP, and over a transport whose
+// connections expose nothing but Conn wrapping each, so every read path
+// passes the same gauntlet on Linux CI.
 
-// opaqueTransport wraps every Conn of an underlying transport in a type the
-// runtime does not recognise.
+// opaqueTransport wraps every Conn of an underlying transport in a type that
+// exposes only the Conn interface.
 type opaqueTransport struct{ Transport }
 
 type opaqueListener struct{ Listener }
 
-// opaqueConn exposes only the Conn interface: no raw reader, no raw
-// writer, no deadlines.
+// opaqueConn exposes only the Conn interface: no raw descriptor, no
+// deadlines.
 type opaqueConn struct{ Conn }
 
 func (t opaqueTransport) Listen(addr string) (Listener, error) {
@@ -50,33 +50,44 @@ func (l opaqueListener) Accept() (Conn, error) {
 	return opaqueConn{c}, nil
 }
 
-func TestRecvReaderParity(t *testing.T) {
-	if _, ok := readerFor(opaqueConn{}, nil, 0).(recvReader); !ok {
-		t.Fatal("an unrecognised Conn is not read through Recv")
+func TestTransportParity(t *testing.T) {
+	if newRawReader(opaqueConn{}, nil, 0) != nil {
+		t.Fatal("an opaque Conn is read directly, not through Read")
 	}
-	for _, tc := range []struct {
+	for _, tr := range []struct {
 		name string
-		run  func(*testing.T, Transport)
+		tr   Transport
+		addr string
 	}{
-		{"ReattestTableBounded", testReattestTableBounded},
-		{"PoisonOnDesync", testPoisonOnDesync},
-		{"Stress", testTransportStressSmall},
+		{"loopback", NewLoopbackTransport(), "store"},
+		{"tcp", TCPTransport{}, "127.0.0.1:0"},
+		{"opaque-loopback", opaqueTransport{NewLoopbackTransport()}, "store"},
+		{"opaque-tcp", opaqueTransport{TCPTransport{}}, "127.0.0.1:0"},
 	} {
-		t.Run(tc.name, func(t *testing.T) { tc.run(t, opaqueTransport{NewLoopbackTransport()}) })
+		for _, tc := range []struct {
+			name string
+			run  func(*testing.T, Transport, string)
+		}{
+			{"ReattestTableBounded", testReattestTableBounded},
+			{"PoisonOnDesync", testPoisonOnDesync},
+			{"Stress", testTransportStressSmall},
+		} {
+			t.Run(tr.name+"/"+tc.name, func(t *testing.T) { tc.run(t, tr.tr, tr.addr) })
+		}
 	}
 }
 
 // TestPoisonOnDesync pins the desync discipline over loopback; the parity
-// run above repeats it through the Recv reader.
-func TestPoisonOnDesync(t *testing.T) { testPoisonOnDesync(t, NewLoopbackTransport()) }
+// run above repeats it over every read path.
+func TestPoisonOnDesync(t *testing.T) { testPoisonOnDesync(t, NewLoopbackTransport(), "store") }
 
 // testPoisonOnDesync sends a frame of unknown type: the server must answer
 // with a typed error (flushed before teardown — the egress combiner's
 // poison-before-die ordering) and then close the connection, because its
 // per-connection codec tables may have desynced from the client's.
-func testPoisonOnDesync(t *testing.T, lt Transport) {
-	c, _, _, _ := rawPair(t, lt, TransportConfig{}, TransportConfig{})
-	if err := c.Send(binary.AppendUvarint([]byte{0xEE}, 7)); err != nil {
+func testPoisonOnDesync(t *testing.T, lt Transport, addr string) {
+	c, _, _ := rawPair(t, lt, addr, TransportConfig{}, TransportConfig{})
+	if err := c.send(binary.AppendUvarint([]byte{0xEE}, 7)); err != nil {
 		t.Fatal(err)
 	}
 	id, err := recvResp(t, c)
@@ -88,7 +99,7 @@ func testPoisonOnDesync(t *testing.T, lt Transport) {
 	}
 	// After the flushed error the connection must be dead: the next
 	// receive fails rather than delivering anything.
-	if _, err := c.Recv(); err == nil {
+	if _, err := c.recv(); err == nil {
 		t.Fatal("connection survived a desyncing frame")
 	}
 }
@@ -97,10 +108,10 @@ func testPoisonOnDesync(t *testing.T, lt Transport) {
 // TestLoopbackTransportStress for the parity run: concurrent remote calls,
 // batched submissions, and dial/close churn over one transport, ending on
 // the no-pending-calls and proxy-teardown invariants.
-func testTransportStressSmall(t *testing.T, lt Transport) {
+func testTransportStressSmall(t *testing.T, lt Transport, addr string) {
 	front, store := bootK(t), bootK(t)
 	nStore := NewNode(store)
-	l, err := lt.Listen("store")
+	l, err := lt.Listen(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +130,7 @@ func testTransportStressSmall(t *testing.T, lt Transport) {
 	if err := nStore.Export("echo", port); err != nil {
 		t.Fatal(err)
 	}
-	shared, err := nFront.Dial(lt, "store")
+	shared, err := nFront.Dial(lt, l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +172,7 @@ func testTransportStressSmall(t *testing.T, lt Transport) {
 					}
 				}
 				if i%16 == 0 {
-					p, err := nFront.Dial(lt, "store")
+					p, err := nFront.Dial(lt, l.Addr())
 					if err != nil {
 						t.Errorf("churn dial: %v", err)
 						return

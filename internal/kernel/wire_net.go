@@ -9,7 +9,9 @@ import (
 // type-specific payload built from three primitives: uvarints,
 // length-prefixed byte strings, and nested wire forms (nal codec messages,
 // cert wire certificates). Frames are self-delimiting; the transport below
-// them provides reliable, ordered, framed delivery and nothing else.
+// them is a reliable, ordered byte stream, on which each frame travels
+// behind a 4-byte length prefix (egress.go writes it, the splitter in
+// driver.go cuts at it).
 //
 // After the three-message handshake (hello, hello-ok, hello-ack) the
 // connection is pipelined: every request and response frame carries a
@@ -71,7 +73,8 @@ const (
 // body is fErr's.
 const transportVersion byte = 5
 
-// maxNetFrame bounds one frame; both backends enforce it on receive so a
+// maxNetFrame bounds one frame; the splitter enforces it on receive (and
+// sizes its buffers by the bytes that arrived, never by a prefix) so a
 // hostile length prefix cannot force an unbounded allocation.
 const maxNetFrame = 1 << 22
 

@@ -188,7 +188,8 @@ type (
 	Peer = kernel.Peer
 	// Transport is a connection factory (loopback or TCP).
 	Transport = kernel.Transport
-	// Conn is a reliable, ordered, framed byte pipe between nodes.
+	// Conn is a reliable, ordered byte stream between nodes, carrying
+	// length-prefixed frames.
 	Conn = kernel.Conn
 	// Listener accepts inbound transport connections.
 	Listener = kernel.Listener
