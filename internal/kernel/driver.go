@@ -72,25 +72,19 @@ func (c TransportConfig) withDefaults() TransportConfig {
 	return c
 }
 
-// rxSize is the receive buffer: one read takes up to this much of the
-// stream, which covers a full egress flush (egressHighWater) from the peer.
+// rxSize is the receive buffer: one read of a socket takes up to this much
+// of the stream, which covers a full egress flush (egressHighWater) from
+// the peer.
 const rxSize = 16 << 10
 
 // rxPool holds receive buffers. A pointer to an array goes through a
 // sync.Pool without allocating, where a slice header would not.
 var rxPool = sync.Pool{New: func() any { return new([rxSize]byte) }}
 
-// smallRead sizes the buffer a splitter that holds no bytes reads its Conn
-// into. A Conn can only be read by blocking, so an idle end waits in it
-// instead of in a pooled receive buffer, and a short request or response
-// arrives in it whole and is cut straight out of it.
-const smallRead = 40
-
 // byteQueue holds bytes in arrival order in one buffer, from b[off]; b is
-// nil when it holds none, so an empty queue holds no buffer. The buffer
-// comes from framePool, or is a splitter's small one. The splitter keeps
-// the bytes it read and has not cut yet in one, and a loopback pipe keeps
-// each direction's unread bytes in one.
+// nil when it holds none, so an empty queue holds no buffer. The splitter
+// keeps the bytes it read and has not cut yet in one, and a loopback pipe
+// keeps each direction's unread bytes in one.
 type byteQueue struct {
 	b   []byte
 	off int
@@ -99,24 +93,30 @@ type byteQueue struct {
 // bytes returns the held bytes.
 func (q *byteQueue) bytes() []byte { return q.b[q.off:] }
 
-// push appends p. When p does not fit behind the held bytes they move to
-// the front of the buffer, if what was consumed before them is at least as
-// long as they are, or else into a framePool buffer of twice the capacity,
-// so every byte is copied a bounded number of times and a large frame
-// assembles in linear time.
-func (q *byteQueue) push(p []byte) {
-	if len(q.b)+len(p) > cap(q.b) {
-		held := q.bytes()
-		if q.off >= len(held) && len(held)+len(p) <= cap(q.b) {
-			q.b = append(q.b[:0], held...) // compact: the copy may overlap
-		} else {
-			b := getFrameBuf(max(len(held)+len(p), 2*cap(q.b)))[:0]
-			b = append(b, held...)
-			putFrameBuf(q.b)
-			q.b = b
-		}
-		q.off = 0
+// grow makes room for n more bytes behind the held ones. They move to the
+// front of the buffer, if what was consumed before them is at least as
+// long as they are, or else into a framePool buffer of size bytes (or of
+// as many as they and n take, if more), so with size at least twice the
+// old capacity every byte is copied a bounded number of times.
+func (q *byteQueue) grow(n, size int) {
+	if len(q.b)+n <= cap(q.b) {
+		return
 	}
+	held := q.bytes()
+	if q.off >= len(held) && len(held)+n <= cap(q.b) {
+		q.b = append(q.b[:0], held...) // compact: the copy may overlap
+	} else {
+		b := getFrameBuf(max(len(held)+n, size))[:0]
+		b = append(b, held...)
+		putFrameBuf(q.b)
+		q.b = b
+	}
+	q.off = 0
+}
+
+// push appends p, growing the buffer to size bytes if it does not fit.
+func (q *byteQueue) push(p []byte, size int) {
+	q.grow(len(p), size)
 	q.b = append(q.b, p...)
 }
 
@@ -134,9 +134,15 @@ func (q *byteQueue) consume(n int) {
 // The queue holds the bytes read but not yet returned as a frame.
 type splitter struct {
 	byteQueue
-	c     Conn
-	raw   *rawReader // non-nil: the socket is read directly (fill)
-	small [smallRead]byte
+	c   Conn
+	raw *rawReader // non-nil: the socket is read directly (fill)
+
+	// end is the length, prefix included, of the frame the held bytes
+	// begin, once they hold its prefix; 0 before.
+	end int
+	// pre receives a length prefix read through Conn.Read while the
+	// splitter holds nothing else, so a waiting end holds no pooled buffer.
+	pre [4]byte
 }
 
 // newSplitter builds the splitter for c, before its handshake.
@@ -144,8 +150,8 @@ func newSplitter(c Conn, m *kernelMetrics, mkey uint64) *splitter {
 	return &splitter{c: c, raw: newRawReader(c, m, mkey)}
 }
 
-// next returns the next frame, copied into a framePool buffer and owned by
-// the caller. With wait false it returns (nil, nil) when no frame is
+// next returns the next frame, owned by the caller and recyclable with
+// putFrameBuf. With wait false it returns (nil, nil) when no frame is
 // available without blocking.
 //
 //nexus:noalloc
@@ -160,25 +166,44 @@ func (s *splitter) next(wait bool) ([]byte, error) {
 	}
 }
 
-// readConn reads s's Conn once, if it may wait, and holds what it read:
-// in small while the splitter holds nothing, so a waiting end holds no
-// pooled buffer, and through a pooled receive buffer while a frame is
-// part-read. ok reports that it read bytes; a read that returns bytes
-// drops its error, and the next read reports it again.
+// room returns the size of the buffer the held bytes move to when need
+// bytes do not fit in theirs. The buffer of a frame grows with the bytes
+// that arrived, doubling from a receive buffer's size, and takes the whole
+// frame once a quarter of it is in. So a length prefix makes the splitter
+// hold no more than a receive buffer or four times the bytes behind it,
+// and assembling a frame allocates less than twice its length.
+func (s *splitter) room(need int) int {
+	size := max(need, 2*cap(s.b))
+	if e := s.end; e >= need {
+		size = min(e, max(size, rxSize))
+		if 4*need >= e {
+			size = e
+		}
+	}
+	return size
+}
+
+// hold appends p, bytes read and not yet cut, to the held bytes.
+func (s *splitter) hold(p []byte) { s.push(p, s.room(len(s.bytes())+len(p))) }
+
+// readConn reads s's Conn once, if it may wait, into the free space of the
+// held buffer, and ok reports that it read bytes. While the splitter holds
+// nothing it reads a length prefix into pre, so an end waiting in Read
+// holds no pooled buffer. A read that returns bytes drops its error, and
+// the next read reports it again.
 func (s *splitter) readConn(wait bool) (ok bool, err error) {
 	if !wait {
 		return false, nil
 	}
-	var n int
-	if s.b == nil {
-		if n, err = s.c.Read(s.small[:]); n > 0 {
-			s.b = s.small[:n]
-		}
-	} else {
-		rx := rxPool.Get().(*[rxSize]byte)
-		n, err = s.c.Read(rx[:])
-		s.push(rx[:n])
-		rxPool.Put(rx)
+	switch {
+	case s.b == nil:
+		s.b = s.pre[:0]
+	case len(s.b) == cap(s.b):
+		s.grow(1, s.room(len(s.bytes())+1))
+	}
+	n, err := s.c.Read(s.b[len(s.b):cap(s.b)])
+	if s.b = s.b[:len(s.b)+n]; len(s.b) == 0 {
+		s.b = nil
 	}
 	if n == 0 && err == nil {
 		err = io.ErrNoProgress
@@ -186,10 +211,11 @@ func (s *splitter) readConn(wait bool) (ok bool, err error) {
 	return n > 0, err
 }
 
-// nextFrame splits the first length-prefixed frame off b: it returns the
-// frame's body, aliasing b, and the bytes the frame spans, or n == 0 when
-// b does not yet hold a whole frame.
-func nextFrame(b []byte) (body []byte, n int, err error) {
+// nextFrame reads the length prefix at the front of b. end is the number
+// of bytes the frame spans, prefix included, once b holds the prefix, and
+// 0 before; body is the frame's body, aliasing b, once b holds all of it,
+// and nil before.
+func nextFrame(b []byte) (body []byte, end int, err error) {
 	if len(b) < 4 {
 		return nil, 0, nil
 	}
@@ -197,23 +223,30 @@ func nextFrame(b []byte) (body []byte, n int, err error) {
 	if fn > maxNetFrame {
 		return nil, 0, errFrameTooLarge
 	}
-	end := 4 + int(fn)
+	end = 4 + int(fn)
 	if len(b) < end {
-		return nil, 0, nil
+		return nil, end, nil
 	}
 	return b[4:end], end, nil
 }
 
-// cut returns the first whole frame among the held bytes, copied into a
-// framePool buffer, or nil when there is none.
+// cut returns the first whole frame among the held bytes, or nil when
+// there is none. It copies the frame into a framePool buffer, except that
+// a frame too long for the pool to keep, alone in its buffer, is returned
+// in place.
 func (s *splitter) cut() ([]byte, error) {
-	body, n, err := nextFrame(s.bytes())
-	if n == 0 {
+	body, end, err := nextFrame(s.bytes())
+	if s.end = end; body == nil {
 		return nil, err
+	}
+	s.end = 0
+	if s.off == 0 && end == len(s.b) && len(body) > arenaKeepCap {
+		s.b = nil
+		return body, nil
 	}
 	f := getFrameBuf(len(body))
 	copy(f, body)
-	s.consume(n)
+	s.consume(end)
 	return f, nil
 }
 

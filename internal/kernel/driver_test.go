@@ -24,7 +24,7 @@ func TestHoldLinear(t *testing.T) {
 	reassemble := func() *splitter {
 		s := &splitter{byteQueue: byteQueue{b: buf[:0]}}
 		for rest := stream; len(rest) > 0; rest = rest[min(rxSize, len(rest)):] {
-			s.push(rest[:min(rxSize, len(rest))])
+			s.hold(rest[:min(rxSize, len(rest))])
 		}
 		return s
 	}
@@ -149,7 +149,7 @@ func FuzzFrameSplit(f *testing.F) {
 				n = int(cuts[i%len(cuts)])
 			}
 			n = min(n, len(rest))
-			s.push(rest[:n])
+			s.hold(rest[:n])
 			rest = rest[n:]
 			for {
 				var f []byte

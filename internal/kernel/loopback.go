@@ -108,12 +108,6 @@ func (l *loopListener) Addr() string { return l.addr }
 // loopState is the shared state of one loopback pipe: a byte queue per
 // direction, the condvars their readers wait on, and the closed flag. mu
 // nests only the frame-pool lock, which the queues take their buffers from.
-//
-// A Read that finds its direction empty lends the queue its own buffer
-// while it waits, marked by a negative off: a write that fits lands in it
-// directly, so a lockstep message crosses with one copy and no queue
-// buffer, and one that does not fit moves what was lent into a queue
-// buffer first.
 type loopState struct {
 	mu     sync.Mutex
 	cond   [2]sync.Cond
@@ -150,16 +144,7 @@ func (c *loopConn) Write(p []byte) (int, error) {
 		return 0, errLoopClosed
 	}
 	q := &st.q[c.w]
-	if q.off < 0 && len(q.b)+len(p) <= cap(q.b) {
-		q.b = append(q.b, p...)
-	} else {
-		if q.off < 0 {
-			lent := q.b
-			q.b, q.off = nil, 0
-			q.push(lent)
-		}
-		q.push(p)
-	}
+	q.push(p, 2*cap(q.b))
 	st.cond[c.w].Signal()
 	return len(p), nil
 }
@@ -172,18 +157,8 @@ func (c *loopConn) Read(p []byte) (int, error) {
 	q := &st.q[r]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if q.b == nil && !st.closed {
-		q.b, q.off = p[:0], -1
-		for q.off < 0 && len(q.b) == 0 && !st.closed {
-			st.cond[r].Wait()
-		}
-		if q.off < 0 {
-			n := len(q.b)
-			q.b, q.off = nil, 0
-			if n > 0 {
-				return n, nil
-			}
-		}
+	for q.b == nil && !st.closed {
+		st.cond[r].Wait()
 	}
 	if q.b == nil {
 		return 0, errLoopClosed

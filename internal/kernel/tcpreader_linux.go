@@ -38,10 +38,15 @@ type rawReader struct {
 	parked bool
 }
 
-// newRawReader binds a reader to c's socket, or returns nil when c exposes
-// no raw descriptor; its splitter then reads it through Read.
+// newRawReader binds a reader to c's socket, or returns nil when c is not
+// a TCP connection end exposing one; its splitter then reads it through
+// Read.
 func newRawReader(c Conn, m *kernelMetrics, mkey uint64) *rawReader {
-	sc, ok := c.(syscall.Conn)
+	tc, ok := c.(*tcpConn)
+	if !ok {
+		return nil
+	}
+	sc, ok := tc.c.(syscall.Conn)
 	if !ok {
 		return nil
 	}
@@ -77,9 +82,9 @@ func (r *rawReader) read(fd uintptr) bool {
 	return true
 }
 
-// fill reads s's connection once and holds what it read; ok reports that
-// it read bytes, and a pass that may not wait reads only a socket that is
-// not dry.
+// fill reads s's socket once and holds what it read; ok reports that it
+// read bytes, and a pass that may not wait reads only a socket that is not
+// dry.
 func (s *splitter) fill(wait bool) (ok bool, err error) {
 	r := s.raw
 	if r == nil {
@@ -101,7 +106,7 @@ func (s *splitter) fill(wait bool) (ok bool, err error) {
 	}
 	if err == nil {
 		r.dry = r.n < rxSize
-		s.push(r.rx[:r.n])
+		s.hold(r.rx[:r.n])
 	}
 	if r.rx != nil {
 		rxPool.Put(r.rx)
@@ -112,7 +117,7 @@ func (s *splitter) fill(wait bool) (ok bool, err error) {
 		return false, nil
 	}
 	if err != nil {
-		return false, tcpErr("recv", err)
+		return false, tcpErr("recv", err) //nexus:coldpath — the read failed; the end is closing
 	}
 	return true, nil
 }
