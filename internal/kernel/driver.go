@@ -160,7 +160,14 @@ func (s *splitter) next(wait bool) ([]byte, error) {
 		if f, err := s.cut(); f != nil || err != nil {
 			return f, err
 		}
-		if ok, err := s.fill(wait); !ok {
+		var ok bool
+		var err error
+		if s.raw == nil { // called here, not in fill, to park one frame shallower
+			ok, err = s.readConn(wait)
+		} else {
+			ok, err = s.fill(wait)
+		}
+		if !ok {
 			return nil, err
 		}
 	}

@@ -151,20 +151,23 @@ func (c *loopConn) Write(p []byte) (int, error) {
 
 // Read blocks until the pipe holds bytes for this end or closes. Bytes
 // written before a close still drain, so an orderly shutdown delivers
-// responses already in flight.
+// responses already in flight. An idle end's goroutine waits here, so
+// Read unlocks without defer: the smaller frame keeps more parked stacks
+// at their first size (conn/idle-mem).
 func (c *loopConn) Read(p []byte) (int, error) {
 	st, r := c.st, 1-c.w
 	q := &st.q[r]
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	for q.b == nil && !st.closed {
 		st.cond[r].Wait()
 	}
 	if q.b == nil {
+		st.mu.Unlock()
 		return 0, errLoopClosed
 	}
 	n := copy(p, q.bytes())
 	q.consume(n)
+	st.mu.Unlock()
 	return n, nil
 }
 

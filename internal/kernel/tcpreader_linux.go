@@ -87,9 +87,6 @@ func (r *rawReader) read(fd uintptr) bool {
 // dry.
 func (s *splitter) fill(wait bool) (ok bool, err error) {
 	r := s.raw
-	if r == nil {
-		return s.readConn(wait)
-	}
 	if r.dry && !wait {
 		return false, nil
 	}

@@ -8,6 +8,6 @@ type rawReader struct{}
 
 func newRawReader(Conn, *kernelMetrics, uint64) *rawReader { return nil }
 
-// fill reads s's connection once, if it may wait, and holds what it read;
-// ok reports that it read bytes.
+// fill is the raw read; no splitter has a raw reader here, so it reads
+// through Conn.Read.
 func (s *splitter) fill(wait bool) (ok bool, err error) { return s.readConn(wait) }
